@@ -56,12 +56,16 @@ _PRESETS = {
 }
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("RANKFLOW_THREADS", "1")
+def _threads(args) -> int:
+    """Worker count from --threads, else RANKFLOW_THREADS, else 1."""
+    raw = args.threads if args.threads is not None else os.environ.get("RANKFLOW_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
         raise ConfigError(f"RANKFLOW_THREADS must be an integer, got {raw!r}") from None
+    if threads < 1:
+        raise ConfigError(f"thread count must be >= 1, got {raw!r}")
+    return threads
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -186,12 +190,13 @@ def _cmd_exact(args) -> int:
     return 0
 
 
-def _parse_sweep(text: str, preset: dict) -> tuple[str, tuple]:
+def _parse_sweep(text: str) -> tuple[str, tuple | None]:
+    """Sweep name and values of ``n[:v1,...]`` / ``h[:v1,...]``; None when bare."""
     name, _, raw = text.partition(":")
     if name not in ("n", "h"):
         raise ConfigError(f"bad sweep spec {text!r} (want n:... or h:...)")
     if not raw:
-        return name, preset["values"]
+        return name, None
     try:
         values = tuple(int(v) for v in raw.split(",")) if name == "n" else \
             tuple(float(v) for v in raw.split(","))
@@ -201,11 +206,10 @@ def _parse_sweep(text: str, preset: dict) -> tuple[str, tuple]:
 
 
 def _cmd_study(kind: str, args) -> int:
-    sweep_name = args.sweep.partition(":")[0]
-    if sweep_name not in ("n", "h"):
-        raise ConfigError(f"bad sweep spec {args.sweep!r} (want n:... or h:...)")
-    preset = _PRESETS[(kind, sweep_name)]["full" if args.full else "desk"]
-    sweep, values = _parse_sweep(args.sweep, preset)
+    sweep, values = _parse_sweep(args.sweep)
+    preset = _PRESETS[(kind, sweep)]["full" if args.full else "desk"]
+    if values is None:
+        values = preset["values"]
 
     if sweep == "n":
         step = args.step if args.step is not None else preset["step"]
@@ -237,8 +241,7 @@ def _cmd_study(kind: str, args) -> int:
             batches = min(100, max(2, runs // 10))
         spec = harness.StudySpec(kind, base, sweep, values, runs, batches=batches,
                                  grid_k=args.grid, paired_seeds=args.paired_seeds)
-    threads = args.threads if args.threads is not None else _default_threads()
-    table = harness.run_study(spec, threads=threads)
+    table = harness.run_study(spec, threads=_threads(args))
     harness.emit(table, args.format, args.out)
     return 0
 

@@ -6,9 +6,10 @@ smaller particles, ties broken by original index order), plus independent
 Brownian increments.  Two drift variants are supported:
 
 * rank coefficient (default): the cell average of the flux derivative,
-  ``n * (flux(q/n) - flux((q-1)/n))``; the lowest cell reaches one cell
-  below the unit interval, where the polynomial flux extends naturally.
-  For the Burgers flux this is the closed form ``1 - (2q - 1)/(2n)``;
+  ``n * (flux(q/n) - flux((q-1)/n))``, from
+  :func:`rankflow.flux.cell_average_speeds` one cell below
+  ``FluxFunction.rank_coefficients``; the lowest cell reaches below the
+  unit interval, where the polynomial flux extends naturally;
 * fractional rank: the flux derivative evaluated at q/n.
 
 For the Burgers flux the two variants differ by exactly 1/(2n) in every
@@ -24,10 +25,9 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigError
-from .flux import BURGERS, FluxFunction
+from .flux import FluxFunction, cell_average_speeds
 from .initial import DiracAtZero, InitialDistribution, iid_positions, optimal_positions
 from .stream import derive_seed, make_generator, standard_normals
 
@@ -83,6 +83,8 @@ class SimulationConfig:
             raise ConfigError("n_particles must be >= 1")
         if not 0.0 < self.step <= self.horizon:
             raise ConfigError("need 0 < step <= horizon")
+        if not np.isfinite(self.horizon):
+            raise ConfigError("horizon must be finite")
         if self.sigma < 0.0 or not np.isfinite(self.sigma):
             raise ConfigError("sigma must be finite and >= 0")
         if self.scheme not in (RANK_COEFFICIENT, FRACTIONAL_RANK):
@@ -137,28 +139,26 @@ def sorted_view(state: ParticleEnsemble) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _drift_table(flux: FluxFunction, scheme: str, n: int) -> np.ndarray:
-    """Drift coefficient per zero-based rank, cached per (flux, scheme, n)."""
-    q = np.arange(n, dtype=float)
-    if scheme == FRACTIONAL_RANK:
-        table = np.asarray(flux.derivative(q / n), dtype=float)
-    elif flux.kind == BURGERS:
-        # closed form; differencing the flux would cancel at large n
-        table = 1.0 - (2.0 * q - 1.0) / (2.0 * n)
-    else:
-        edges = np.arange(-1, n, dtype=float) / n
-        table = n * np.diff(npoly.polyval(edges, flux.coefficients))
-    table = np.atleast_1d(table)
+def _fractional_table(flux: FluxFunction, n: int) -> np.ndarray:
+    """Flux derivative at q/n per zero-based rank q, cached per (flux, n)."""
+    table = np.asarray(flux.derivative(np.arange(n, dtype=float) / n), dtype=float)
     table.setflags(write=False)
     return table
 
 
-def _advance(positions: np.ndarray, config: SimulationConfig, dt: float,
+def _drift_table(config: SimulationConfig) -> np.ndarray:
+    """Drift coefficient per zero-based rank q for the config's scheme."""
+    if config.scheme == FRACTIONAL_RANK:
+        return _fractional_table(config.flux, config.n_particles)
+    # rank q takes the cell average over [(q-1)/n, q/n]
+    return cell_average_speeds(config.flux, config.n_particles, -1)
+
+
+def _advance(positions: np.ndarray, drift: np.ndarray, sigma: float, dt: float,
              rng: np.random.Generator) -> np.ndarray:
-    drift = _drift_table(config.flux, config.scheme, config.n_particles)
     noise = standard_normals(rng, positions.size)
     return (positions + drift[zero_based_ranks(positions)] * dt
-            + (config.sigma * np.sqrt(dt)) * noise)
+            + (sigma * np.sqrt(dt)) * noise)
 
 
 def euler_step(state: ParticleEnsemble, config: SimulationConfig, dt: float,
@@ -168,7 +168,8 @@ def euler_step(state: ParticleEnsemble, config: SimulationConfig, dt: float,
         raise ConfigError("need 0 < dt <= config.step")
     if state.positions.size != config.n_particles:
         raise ConfigError("state size does not match config.n_particles")
-    return ParticleEnsemble(state.time + dt, _advance(state.positions, config, dt, rng))
+    x = _advance(state.positions, _drift_table(config), config.sigma, dt, rng)
+    return ParticleEnsemble(state.time + dt, x)
 
 
 def simulate(config: SimulationConfig,
@@ -184,7 +185,7 @@ def simulate(config: SimulationConfig,
 
     Returns the final ensemble at the horizon.
     """
-    n, h, horizon = config.n_particles, config.step, config.horizon
+    n, h, horizon, sigma = config.n_particles, config.step, config.horizon, config.sigma
     init_rng = make_generator(derive_seed(config.seed, 0))
     steps_rng = make_generator(derive_seed(config.seed, 1))
 
@@ -197,12 +198,13 @@ def simulate(config: SimulationConfig,
     if remainder < _STEP_SLACK * h:
         remainder = 0.0
 
+    drift = _drift_table(config)
     for k in range(n_full):
-        x = _advance(x, config, h, steps_rng)
+        x = _advance(x, drift, sigma, h, steps_rng)
         if snapshot is not None:
             snapshot(ParticleEnsemble((k + 1) * h, x.copy()))
     if remainder > 0.0:
-        x = _advance(x, config, remainder, steps_rng)
+        x = _advance(x, drift, sigma, remainder, steps_rng)
         if snapshot is not None:
             snapshot(ParticleEnsemble(horizon, x.copy()))
 

@@ -108,23 +108,30 @@ class FluxFunction:
     def rank_coefficients(self, n_particles: int) -> np.ndarray:
         """Drift coefficients for ranks 1..n, cached per (flux, n).
 
-        The Burgers case uses the closed form 1 - (2i-1)/(2n), which avoids
-        the cancellation of differencing the flux at large n.  The returned
-        array is read-only because it is shared by all callers.
+        These are the cell averages over [(i-1)/n, i/n], i = 1..n; see
+        :func:`cell_average_speeds`.  The returned array is read-only
+        because it is shared by all callers.
         """
         if n_particles < 1:
             raise ConfigError("n_particles must be >= 1")
-        return _cached_rank_coefficients(self, int(n_particles))
+        return cell_average_speeds(self, int(n_particles), 0)
 
 
 @lru_cache(maxsize=64)
-def _cached_rank_coefficients(flux: FluxFunction, n: int) -> np.ndarray:
-    i = np.arange(1, n + 1, dtype=float)
+def cell_average_speeds(flux: FluxFunction, n: int, first_cell: int) -> np.ndarray:
+    """Speed averaged over the n cells [(i-1)/n, i/n], i = first_cell+1..first_cell+n.
+
+    Each entry is n * (flux(i/n) - flux((i-1)/n)); cells outside [0, 1]
+    extend the polynomial flux naturally.  The Burgers case uses the closed
+    form 1 - (2i-1)/(2n), which avoids the cancellation of differencing the
+    flux at large n.  Cached per (flux, n, first_cell) and read-only.
+    """
     if flux.kind == BURGERS:
+        i = np.arange(first_cell + 1, first_cell + n + 1, dtype=float)
         coeffs = 1.0 - (2.0 * i - 1.0) / (2.0 * n)
     else:
-        values = npoly.polyval(np.arange(n + 1, dtype=float) / n, flux.coefficients)
-        coeffs = n * np.diff(values)
+        edges = np.arange(first_cell, first_cell + n + 1, dtype=float) / n
+        coeffs = n * np.diff(npoly.polyval(edges, flux.coefficients))
     coeffs.setflags(write=False)
     return coeffs
 

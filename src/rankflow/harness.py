@@ -24,6 +24,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional
 
@@ -33,7 +34,7 @@ from .engine import SimulationConfig, simulate, sorted_view
 from .errors import ConfigError, EmitError, NumericalError, UnsupportedReferenceError
 from .exact import BurgersSolution
 from .flux import BURGERS
-from .metrics import GridSpec, phi_grid, psi_grid_free
+from .metrics import GridSpec, empirical_cdf_at, phi_grid, psi_grid_free
 from .stream import derive_seed
 
 STRONG = "strong"
@@ -83,6 +84,9 @@ class StudySpec:
             raise ConfigError("sweep needs at least one value")
         if self.runs < 2:
             raise ConfigError("need at least 2 runs")
+        sizes = self.values if self.sweep == SWEEP_N else (self.base.n_particles,)
+        if self.kind == STRONG and min(sizes) < 2:
+            raise ConfigError("strong study needs at least 2 particles in every row")
         if self.kind == WEAK:
             if self.batches is None or self.batches < 2:
                 raise ConfigError("weak study needs at least 2 batches")
@@ -118,50 +122,30 @@ class ErrorTable:
 
 # -- per-run workers ---------------------------------------------------------
 #
-# Shared per-point state (config plus reference or grid abscissae) is
-# installed once per worker process through the pool initializer, so jobs
-# are plain run indices and nothing heavy crosses the pipe per run.
+# Per-point inputs (config plus reference or grid abscissae) are bound with
+# functools.partial; a pool pickles that binding once per chunk of runs.
 
-_worker_state = None
-
-
-def _install_worker_state(state) -> None:
-    global _worker_state
-    _worker_state = state
-
-
-def _strong_run(run_index: int) -> float:
-    config, reference = _worker_state
+def _strong_run(config: SimulationConfig, reference, run_index: int) -> float:
     cfg = replace(config, seed=derive_seed(config.seed, run_index))
     final = simulate(cfg)
     return psi_grid_free(sorted_view(final), lambda x: reference.cdf(cfg.horizon, x))
 
 
-def _weak_run(run_index: int) -> np.ndarray:
-    config, midpoints = _worker_state
+def _weak_run(config: SimulationConfig, midpoints: np.ndarray, run_index: int) -> np.ndarray:
     cfg = replace(config, seed=derive_seed(config.seed, run_index))
-    final = simulate(cfg)
-    pos = np.sort(final.positions)
-    return np.searchsorted(pos, midpoints, side="right") / pos.size
+    return empirical_cdf_at(simulate(cfg).positions, midpoints)
 
 
-def _pool_results(pool: ProcessPoolExecutor, results: Iterable) -> Iterator:
-    try:
-        yield from results
-    finally:
-        pool.shutdown(wait=True)
+def _map_runs(run, n_runs: int, threads: int) -> Iterator:
+    """Stream run(0), ..., run(n_runs-1) in run-index order.
 
-
-def _map_runs(worker, state, n_runs: int, threads: int) -> Iterator:
-    """Run the worker for indices 0..n_runs-1; results in run-index order."""
+    With more than one thread a process pool decides where runs execute.
+    """
     if threads <= 1:
-        # callers consume the iterator before starting another point, so the
-        # module-level state cannot be clobbered mid-stream
-        _install_worker_state(state)
-        return map(worker, range(n_runs))
-    pool = ProcessPoolExecutor(
-        max_workers=threads, initializer=_install_worker_state, initargs=(state,))
-    return _pool_results(pool, pool.map(worker, range(n_runs), chunksize=8))
+        yield from map(run, range(n_runs))
+        return
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(run, range(n_runs), chunksize=8)
 
 
 def _kahan_add(total: np.ndarray, compensation: np.ndarray, term: np.ndarray) -> None:
@@ -183,7 +167,7 @@ def strong_error_point(config: SimulationConfig, runs: int, *,
     if runs < 2:
         raise ConfigError("need at least 2 runs")
     reference = get_reference(config)
-    results = _map_runs(_strong_run, (config, reference), runs, threads)
+    results = _map_runs(partial(_strong_run, config, reference), runs, threads)
     values = np.fromiter(results, dtype=float, count=runs)
     estimation = float(np.mean(values))
     precision = 1.96 * float(np.sqrt(np.var(values, ddof=1) / runs))
@@ -211,7 +195,8 @@ def weak_error_point(config: SimulationConfig, runs: int, batches: int,
     batch_sums = np.zeros((batches, k))
     total = np.zeros(k)
     compensation = np.zeros(k)
-    results = _map_runs(_weak_run, (config, grid.midpoint_quantiles), runs, threads)
+    results = _map_runs(partial(_weak_run, config, grid.midpoint_quantiles), runs,
+                       threads)
     for r, vector in enumerate(results):
         batch_sums[r // per_batch] += vector
         _kahan_add(total, compensation, vector)

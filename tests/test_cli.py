@@ -111,6 +111,10 @@ def test_bad_sweep_is_config_error():
     assert run_cli(["strong", "--sweep", "q:1,2", "--runs", "3"]) == 2
 
 
+def test_strong_single_particle_row_is_config_error():
+    assert run_cli(["strong", "--sweep", "n:4,1", "--runs", "2", "--step", "0.5"]) == 2
+
+
 def test_unsupported_reference_is_config_error():
     assert run_cli(["strong", "--sweep", "n:4", "--runs", "3", "--step", "0.5",
                     "--flux", "quadratic"]) == 2
@@ -155,3 +159,11 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
 def test_simulate_unwritable_positions_path():
     assert run_cli(["simulate", "--particles", "2", "--step", "0.5",
                     "--emit-positions", "/nonexistent-dir/p.csv"]) == 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_bad_thread_count_is_config_error(monkeypatch, threads):
+    args = ["strong", "--sweep", "n:4", "--runs", "3", "--step", "0.5"]
+    assert run_cli(args + ["--threads", threads]) == 2
+    monkeypatch.setenv("RANKFLOW_THREADS", threads)
+    assert run_cli(args) == 2

@@ -240,6 +240,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         config(step=2.0)  # step > horizon
     with pytest.raises(ConfigError):
+        config(horizon=np.inf)
+    with pytest.raises(ConfigError):
         config(sigma=-1.0)
     with pytest.raises(ConfigError):
         config(scheme="bogus")

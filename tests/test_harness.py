@@ -154,6 +154,10 @@ def test_study_spec_validation():
     with pytest.raises(ConfigError):
         StudySpec("strong", cfg, "n", (4,), 1)
     with pytest.raises(ConfigError):
+        StudySpec("strong", cfg, "n", (4, 1), 3)  # one particle has no strong estimate
+    with pytest.raises(ConfigError):
+        StudySpec("strong", burgers_config(n_particles=1), "h", (0.5,), 3)
+    with pytest.raises(ConfigError):
         StudySpec("weak", cfg, "n", (4,), 5, batches=2)  # 2 does not divide 5
     with pytest.raises(ConfigError):
         StudySpec("weak", cfg, "n", (4,), 4, batches=None)
