@@ -139,8 +139,8 @@ def _make_init(args) -> InitRule:
 
 
 def _sigma(args) -> float:
-    if args.sigma2 <= 0.0:
-        raise ConfigError("--sigma2 must be > 0")
+    if not 0.0 < args.sigma2 < np.inf:
+        raise ConfigError("--sigma2 must be finite and > 0")
     return float(np.sqrt(args.sigma2))
 
 
@@ -174,7 +174,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_exact(args) -> int:
     if args.grid < 2:
         raise ConfigError("--grid must be >= 2")
-    solution = BurgersSolution(float(np.sqrt(args.sigma2)))
+    solution = BurgersSolution(_sigma(args))
     levels = np.arange(1, args.grid) / args.grid
     quantiles = solution.quantile(args.horizon, levels)
     lines = ["u,quantile"] + [f"{u:.8g},{q:.8g}" for u, q in zip(levels, quantiles)]

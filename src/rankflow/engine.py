@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -39,6 +39,12 @@ IID = "iid"
 
 #: final partial step shorter than this fraction of h is treated as roundoff
 _STEP_SLACK = 1e-9
+
+#: most Euler steps one run may take (horizon / step); more is a config error
+MAX_STEPS = 10**9
+
+#: most increments drawn at once: a block holds whole steps of n values
+_DRAW_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,8 @@ class SimulationConfig:
             raise ConfigError("need 0 < step <= horizon")
         if not np.isfinite(self.horizon):
             raise ConfigError("horizon must be finite")
+        if self.horizon / self.step > MAX_STEPS:
+            raise ConfigError(f"horizon/step exceeds {MAX_STEPS:.0e} Euler steps")
         if self.sigma < 0.0 or not np.isfinite(self.sigma):
             raise ConfigError("sigma must be finite and >= 0")
         if self.scheme not in (RANK_COEFFICIENT, FRACTIONAL_RANK):
@@ -125,17 +133,30 @@ def zero_based_ranks(positions: np.ndarray) -> np.ndarray:
     This is the rank that selects the drift coefficient: it equals
     ``rank_counts - 1`` whenever positions are distinct, and hands tied
     particles distinct consecutive ranks in original index order.
+
+    The order comes from numpy's default (SIMD, unstable) sort.  Without
+    ties every correct sort yields the same permutation; only when the
+    sorted values are not strictly increasing (an exact tie, which includes
+    ``-0.0`` against ``+0.0``, or a NaN) is the order redone with the
+    stable sort, so the ranks are those of the stable sort in every case.
     """
     x = np.asarray(positions, dtype=float)
-    order = np.argsort(x, kind="stable")
+    order = x.argsort()
+    xs = x[order]
+    if not (xs[:-1] < xs[1:]).all():
+        order = x.argsort(kind="stable")
     ranks = np.empty(x.size, dtype=np.intp)
     ranks[order] = np.arange(x.size)
     return ranks
 
 
 def sorted_view(state: ParticleEnsemble) -> np.ndarray:
-    """Nondecreasing copy of the positions; the state keeps original order."""
-    return np.sort(state.positions, kind="stable")
+    """Nondecreasing copy of the positions; the state keeps original order.
+
+    Uses the default (unstable) sort: it can order ``-0.0`` and ``+0.0``
+    differently from a stable sort, but the values are otherwise the same.
+    """
+    return np.sort(state.positions)
 
 
 @lru_cache(maxsize=64)
@@ -154,11 +175,31 @@ def _drift_table(config: SimulationConfig) -> np.ndarray:
     return cell_average_speeds(config.flux, config.n_particles, -1)
 
 
-def _advance(positions: np.ndarray, drift: np.ndarray, sigma: float, dt: float,
-             rng: np.random.Generator) -> np.ndarray:
-    noise = standard_normals(rng, positions.size)
-    return (positions + drift[zero_based_ranks(positions)] * dt
-            + (sigma * np.sqrt(dt)) * noise)
+def _advance(x: np.ndarray, drift: np.ndarray, sigma: float, h: float, n_full: int,
+             last: float, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The Euler step kernel: yields the positions after every step.
+
+    Takes ``n_full`` steps of length ``h``, then one of length ``last`` when
+    ``last > 0``; each step freezes the drift at the ranks of its input.
+    Increments are drawn whole steps at a time, one ``(rows, n)`` block per
+    draw of at most ``_DRAW_BLOCK`` values (one row when n is larger), so
+    particle i at step k still consumes position k*n + i of ``rng``'s
+    stream.  The input array is never written to.
+    """
+    n_steps = n_full + (last > 0.0)
+    rows = max(1, _DRAW_BLOCK // x.size)
+    for first in range(0, n_steps, rows):
+        noise = standard_normals(rng, (min(rows, n_steps - first), x.size))
+        for k, increment in enumerate(noise, first):
+            dt = h if k < n_full else last
+            # the bits of x + drift*dt + (sigma*sqrt(dt))*noise, computed in place
+            increment *= sigma * np.sqrt(dt)
+            moved = drift[zero_based_ranks(x)]
+            moved *= dt
+            moved += x
+            moved += increment
+            x = moved
+            yield x
 
 
 def euler_step(state: ParticleEnsemble, config: SimulationConfig, dt: float,
@@ -168,7 +209,7 @@ def euler_step(state: ParticleEnsemble, config: SimulationConfig, dt: float,
         raise ConfigError("need 0 < dt <= config.step")
     if state.positions.size != config.n_particles:
         raise ConfigError("state size does not match config.n_particles")
-    x = _advance(state.positions, _drift_table(config), config.sigma, dt, rng)
+    (x,) = _advance(state.positions, _drift_table(config), config.sigma, dt, 1, 0.0, rng)
     return ParticleEnsemble(state.time + dt, x)
 
 
@@ -185,7 +226,7 @@ def simulate(config: SimulationConfig,
 
     Returns the final ensemble at the horizon.
     """
-    n, h, horizon, sigma = config.n_particles, config.step, config.horizon, config.sigma
+    n, h, horizon = config.n_particles, config.step, config.horizon
     init_rng = make_generator(derive_seed(config.seed, 0))
     steps_rng = make_generator(derive_seed(config.seed, 1))
 
@@ -198,14 +239,8 @@ def simulate(config: SimulationConfig,
     if remainder < _STEP_SLACK * h:
         remainder = 0.0
 
-    drift = _drift_table(config)
-    for k in range(n_full):
-        x = _advance(x, drift, sigma, h, steps_rng)
+    steps = _advance(x, _drift_table(config), config.sigma, h, n_full, remainder, steps_rng)
+    for k, x in enumerate(steps, 1):
         if snapshot is not None:
-            snapshot(ParticleEnsemble((k + 1) * h, x.copy()))
-    if remainder > 0.0:
-        x = _advance(x, drift, sigma, remainder, steps_rng)
-        if snapshot is not None:
-            snapshot(ParticleEnsemble(horizon, x.copy()))
-
+            snapshot(ParticleEnsemble(k * h if k <= n_full else horizon, x.copy()))
     return ParticleEnsemble(horizon, x)

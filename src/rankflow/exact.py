@@ -47,13 +47,13 @@ class BurgersSolution:
             raise ConfigError("sigma must be finite and > 0")
 
     def cdf(self, t: float, x):
-        """F(t, x) for t > 0; vectorized in x, nondecreasing, in [0, 1].
+        """F(t, x) for finite t > 0; vectorized in x, nondecreasing, in [0, 1].
 
         The t = 0 profile is the unit step at the origin and is not
         representable by the closed form; query the Dirac initial law for it.
         """
-        if not t > 0.0:
-            raise DomainError("the closed form requires t > 0")
+        if not 0.0 < t < np.inf:
+            raise DomainError("the closed form requires a finite t > 0")
         x = np.asarray(x, dtype=float)
         scale = self.sigma * np.sqrt(t)
         g = (
@@ -71,8 +71,8 @@ class BurgersSolution:
         straddles u; failure to straddle after 200 doublings signals a
         sigma/t pathology.
         """
-        if not t > 0.0:
-            raise DomainError("the closed form requires t > 0")
+        if not 0.0 < t < np.inf:
+            raise DomainError("the closed form requires a finite t > 0")
         uu = np.asarray(u, dtype=float)
         scalar = uu.ndim == 0
         uu = np.atleast_1d(uu)

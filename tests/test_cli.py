@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rankflow
 import rankflow.cli as cli
 from rankflow import (BurgersSolution, FluxFunction, NumericalError,
                       SimulationConfig, simulate)
@@ -167,3 +171,26 @@ def test_bad_thread_count_is_config_error(monkeypatch, threads):
     assert run_cli(args + ["--threads", threads]) == 2
     monkeypatch.setenv("RANKFLOW_THREADS", threads)
     assert run_cli(args) == 2
+
+
+def run_cli_process(args):
+    """The CLI in a fresh interpreter, with every warning shown on stderr."""
+    src = os.path.dirname(os.path.dirname(rankflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    return subprocess.run([sys.executable, "-m", "rankflow.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--particles", "4", "--step", "1e-300"],
+    ["exact", "--horizon", "inf", "--grid", "4"],
+    ["exact", "--horizon", "nan", "--grid", "4"],
+    ["exact", "--sigma2", "-1", "--grid", "4"],
+], ids=["too-many-steps", "infinite-horizon", "nan-horizon", "negative-sigma2"])
+def test_rejected_input_exits_two_at_once(args):
+    done = run_cli_process(args)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("rankflow: ")
+    assert "Traceback" not in done.stderr
+    assert "RuntimeWarning" not in done.stderr

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
-from rankflow import (ConfigError, FluxFunction, Gaussian, InitRule,
+from rankflow import (BurgersSolution, ConfigError, FluxFunction, Gaussian, InitRule,
                       ParticleEnsemble, SimulationConfig, Uniform, euler_step,
-                      rank_counts, simulate, sorted_view)
-from rankflow.engine import FRACTIONAL_RANK, IID, OPTIMAL, zero_based_ranks
+                      psi_grid_free, rank_counts, simulate, sorted_view)
+from rankflow import engine
+from rankflow.engine import FRACTIONAL_RANK, IID, MAX_STEPS, OPTIMAL, zero_based_ranks
 from rankflow.stream import derive_seed, make_generator
 
 BURGERS = FluxFunction.burgers()
@@ -39,6 +42,53 @@ def test_zero_based_ranks_distinct_match_counts():
 def test_zero_based_ranks_break_ties_by_index():
     np.testing.assert_array_equal(zero_based_ranks(np.zeros(4)), [0, 1, 2, 3])
     np.testing.assert_array_equal(zero_based_ranks(np.array([1.0, 0.0, 1.0])), [1, 0, 2])
+
+
+#: tie-heavy samples: small integers as floats, all-equal arrays, mixed signed zeros
+TIE_HEAVY = st.one_of(
+    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=300),
+    st.builds(lambda v, n: [v] * n, st.floats(-1e6, 1e6), st.integers(1, 300)),
+    st.lists(st.sampled_from([-0.0, 0.0, 0.0, -1.0, 1.0]), min_size=1, max_size=300),
+).map(lambda values: np.array(values, dtype=float))
+
+
+def stable_ranks(x):
+    ranks = np.empty(x.size, dtype=np.intp)
+    ranks[np.argsort(x, kind="stable")] = np.arange(x.size)
+    return ranks
+
+
+@settings(deadline=None)
+@given(TIE_HEAVY)
+def test_zero_based_ranks_equal_stable_argsort_ranks(x):
+    np.testing.assert_array_equal(zero_based_ranks(x), stable_ranks(x))
+
+
+@settings(deadline=None)
+@given(TIE_HEAVY.filter(lambda x: x.size >= 2))
+def test_grid_free_estimate_of_sorted_view_is_bitwise_stable(x):
+    def cdf(y):
+        return BurgersSolution(np.sqrt(0.2)).cdf(1.0, y)
+
+    unstable = psi_grid_free(sorted_view(ParticleEnsemble(0.0, x)), cdf)
+    stable = psi_grid_free(np.sort(x, kind="stable"), cdf)
+    assert np.float64(unstable).tobytes() == np.float64(stable).tobytes()
+
+
+@pytest.mark.parametrize("init", [InitRule(), InitRule(IID, Gaussian(0.0, 1.0))],
+                         ids=["dirac", "iid"])
+def test_simulate_equals_chain_of_euler_steps(init):
+    # two steps per draw block: 6 full steps and a partial one span 4 blocks
+    n = engine._DRAW_BLOCK // 3 + 1
+    assert engine._DRAW_BLOCK // n == 2
+    cfg = config(n_particles=n, step=0.25, horizon=1.6, sigma=0.4, init=init, seed=8)
+    x = init.positions(n, make_generator(derive_seed(cfg.seed, 0)))
+    rng = make_generator(derive_seed(cfg.seed, 1))
+    state = ParticleEnsemble(0.0, x)
+    for _ in range(6):
+        state = euler_step(state, cfg, cfg.step, rng)
+    state = euler_step(state, cfg, cfg.horizon - 6 * cfg.step, rng)
+    assert simulate(cfg).positions.tobytes() == state.positions.tobytes()
 
 
 # -- single steps ------------------------------------------------------------
@@ -241,6 +291,9 @@ def test_config_validation():
         config(step=2.0)  # step > horizon
     with pytest.raises(ConfigError):
         config(horizon=np.inf)
+    config(step=1.0 / MAX_STEPS)  # at the step-count ceiling: accepted, not run
+    with pytest.raises(ConfigError):
+        config(step=1e-300)
     with pytest.raises(ConfigError):
         config(sigma=-1.0)
     with pytest.raises(ConfigError):
