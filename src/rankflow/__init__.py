@@ -10,14 +10,12 @@ from .engine import (FRACTIONAL_RANK, IID, OPTIMAL, RANK_COEFFICIENT, InitRule,
                      ParticleEnsemble, SimulationConfig, euler_step, rank_counts,
                      simulate, sorted_view)
 from .errors import (BracketError, ConfigError, DegenerateInputWarning, DomainError,
-                     EmitError, NumericalError, QuadratureError, RankflowError,
-                     UnsupportedReferenceError)
+                     EmitError, NumericalError, RankflowError, UnsupportedReferenceError)
 from .exact import BurgersSolution, normal_cdf
 from .flux import FluxFunction, parse_flux
 from .harness import (STRONG, SWEEP_H, SWEEP_N, WEAK, ErrorTable, StudyRow,
                       StudySpec, emit, run_study, strong_error_point,
                       weak_error_point)
-from .heatkernel import HeatKernel
 from .initial import (DiracAtZero, Gaussian, InitialDistribution, QuantileTable,
                       Uniform, iid_positions, init_w1_to_m, optimal_positions,
                       parse_distribution)
@@ -29,9 +27,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BracketError", "BurgersSolution", "ConfigError", "DegenerateInputWarning",
     "DiracAtZero", "DomainError", "EmitError", "ErrorTable", "FluxFunction",
-    "FRACTIONAL_RANK", "Gaussian", "GridSpec", "HeatKernel", "IID", "InitRule",
+    "FRACTIONAL_RANK", "Gaussian", "GridSpec", "IID", "InitRule",
     "InitialDistribution", "NumericalError", "OPTIMAL", "ParticleEnsemble",
-    "QuadratureError", "QuantileTable", "RANK_COEFFICIENT", "RankflowError",
+    "QuantileTable", "RANK_COEFFICIENT", "RankflowError",
     "STRONG", "SWEEP_H", "SWEEP_N", "SimulationConfig", "StudyRow", "StudySpec",
     "Uniform", "UnsupportedReferenceError", "WEAK", "emit", "empirical_cdf_at",
     "euler_step", "iid_positions", "init_w1_to_m", "normal_cdf",

@@ -8,7 +8,7 @@ minutes of runtime; ``--full`` switches the presets to the full-scale
 settings of the headline tables.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures.
+failures, on running out of memory and on a worker process that died.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import csv
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -262,6 +263,12 @@ def main(argv=None) -> int:
         return 2
     except RankflowError as err:
         print(f"rankflow: {err}", file=sys.stderr)
+        return 3
+    except MemoryError as err:
+        print(f"rankflow: out of memory: {err}", file=sys.stderr)
+        return 3
+    except BrokenProcessPool as err:
+        print(f"rankflow: a worker process died: {err}", file=sys.stderr)
         return 3
 
 

@@ -2,8 +2,8 @@
 
 ConfigError covers anything a caller got wrong (bad parameters, impossible
 study setups); NumericalError covers runtime failures of the numerics
-(quadrature that does not converge, root brackets that cannot be
-established). The CLI maps them to exit codes 2 and 3 respectively.
+(root brackets that cannot be established, bisection that does not reach
+its tolerance). The CLI maps them to exit codes 2 and 3 respectively.
 """
 
 
@@ -25,10 +25,6 @@ class UnsupportedReferenceError(ConfigError):
 
 class NumericalError(RankflowError, RuntimeError):
     """A numerical procedure failed to reach its accuracy target."""
-
-
-class QuadratureError(NumericalError):
-    """Adaptive quadrature did not converge to the requested accuracy."""
 
 
 class BracketError(NumericalError):

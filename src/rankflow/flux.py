@@ -21,7 +21,6 @@ from numpy.polynomial import polynomial as npoly
 from .errors import ConfigError, DomainError
 
 BURGERS = "burgers"
-QUADRATIC = "quadratic"
 POLYNOMIAL = "polynomial"
 
 
@@ -53,7 +52,7 @@ class FluxFunction:
     lipschitz_speed: float
 
     def __post_init__(self):
-        if self.kind not in (BURGERS, QUADRATIC, POLYNOMIAL):
+        if self.kind not in (BURGERS, POLYNOMIAL):
             raise ConfigError(f"unknown flux kind {self.kind!r}")
         if not self.coefficients:
             raise ConfigError("flux needs at least one coefficient")
@@ -70,7 +69,7 @@ class FluxFunction:
     @classmethod
     def quadratic(cls) -> "FluxFunction":
         """flux(u) = u^2 / 2, speed(u) = u."""
-        return cls(QUADRATIC, (0.0, 0.0, 0.5), 1.0)
+        return cls.polynomial((0.0, 0.0, 0.5))
 
     @classmethod
     def polynomial(cls, coefficients) -> "FluxFunction":

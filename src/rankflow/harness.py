@@ -145,7 +145,7 @@ def _map_runs(run, n_runs: int, threads: int) -> Iterator:
         yield from map(run, range(n_runs))
         return
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(run, range(n_runs), chunksize=8)
+        yield from pool.map(run, range(n_runs))
 
 
 def _kahan_add(total: np.ndarray, compensation: np.ndarray, term: np.ndarray) -> None:

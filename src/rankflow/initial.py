@@ -3,8 +3,8 @@
 Particles are placed either by i.i.d. inverse-transform sampling or by the
 deterministic rule that puts particle i at the quantile of (2i-1)/(2n),
 which minimizes the Wasserstein-1 distance of the empirical measure to the
-law.  ``init_w1_to_m`` evaluates that distance exactly by per-cell adaptive
-quadrature of the quantile difference.
+law.  ``init_w1_to_m`` evaluates that distance exactly, in closed form, from
+the integrated quantile of the law.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ import abc
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfc, ndtri
 
-from .errors import ConfigError, DomainError, QuadratureError
+from .errors import ConfigError, DomainError
 from .stream import open_uniforms
 
 _SQRT2 = np.sqrt(2.0)
@@ -48,9 +47,9 @@ class InitialDistribution(abc.ABC):
     @abc.abstractmethod
     def _quantile(self, u: np.ndarray) -> np.ndarray: ...
 
-    def quantile_breakpoints(self) -> np.ndarray:
-        """Interior u-values where the quantile function jumps (for quadrature)."""
-        return np.empty(0)
+    @abc.abstractmethod
+    def _integrated_quantile(self, u: np.ndarray) -> np.ndarray:
+        """G(u) = integral of the quantile over (0, u), for u in [0, 1]."""
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,9 @@ class DiracAtZero(InitialDistribution):
         return float(out) if scalar else out
 
     def _quantile(self, u):
+        return np.zeros_like(u)
+
+    def _integrated_quantile(self, u):
         return np.zeros_like(u)
 
 
@@ -89,6 +91,9 @@ class Uniform(InitialDistribution):
     def _quantile(self, u):
         return self.lower + (self.upper - self.lower) * u
 
+    def _integrated_quantile(self, u):
+        return u * (self.lower + (self.upper - self.lower) * u / 2.0)
+
 
 @dataclass(frozen=True)
 class Gaussian(InitialDistribution):
@@ -108,6 +113,10 @@ class Gaussian(InitialDistribution):
 
     def _quantile(self, u):
         return self.mean + self.stddev * ndtri(u)
+
+    def _integrated_quantile(self, u):
+        # the substitution v = Phi(z) turns the integral of ndtri into -phi(ndtri(u))
+        return self.mean * u - self.stddev * np.exp(-ndtri(u) ** 2 / 2.0) / np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -146,8 +155,11 @@ class QuantileTable(InitialDistribution):
         idx = np.searchsorted(self._cumulative(), u, side="left")
         return np.asarray(self.atoms, dtype=float)[idx]
 
-    def quantile_breakpoints(self):
-        return self._cumulative()[:-1]
+    def _integrated_quantile(self, u):
+        # G is linear between the cumulative probabilities
+        cum = np.concatenate(([0.0], self._cumulative()))
+        mass = np.concatenate(([0.0], np.cumsum(np.multiply(self.atoms, self.probabilities))))
+        return np.interp(u, cum, mass)
 
 
 # -- placement rules -------------------------------------------------------
@@ -175,41 +187,22 @@ def iid_positions(law: InitialDistribution, n: int, rng: np.random.Generator) ->
 def init_w1_to_m(positions: np.ndarray, law: InitialDistribution) -> float:
     """Exact W1 distance between an empirical measure and the law.
 
-    Integrates |empirical quantile - law quantile| over each quantile cell
-    ((i-1)/n, i/n) with adaptive quadrature (1e-9 relative).  The empirical
-    quantile is the constant positions[i-1] on that cell, so the only
-    interior kink is where the law's quantile crosses it; passing that point
-    (and any quantile jumps) to the integrator keeps convergence fast.
+    The empirical quantile is the constant x = positions[i-1] on the cell
+    (lo, hi) = ((i-1)/n, i/n).  With c = clip(cdf(x), lo, hi), the law's
+    quantile is <= x below c and >= x above it, so the integral of
+    |x - quantile| over the cell is x (2c - lo - hi) + G(lo) + G(hi) - 2 G(c),
+    where G is the integrated quantile of the law.
     """
     x = np.asarray(positions, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ConfigError("positions must be a non-empty 1-D vector")
     if np.any(np.diff(x) < 0.0):
         raise ConfigError("positions must be sorted nondecreasing")
-    n = x.size
-    jumps = law.quantile_breakpoints()
-    total = 0.0
-    for i in range(n):
-        lo, hi = i / n, (i + 1) / n
-        pts = [float(p) for p in jumps if lo < p < hi]
-        crossing = float(law.cdf(x[i]))
-        if lo < crossing < hi:
-            pts.append(crossing)
-        val, abs_err = quad(
-            lambda u: abs(x[i] - law.quantile(u)),
-            lo,
-            hi,
-            points=sorted(pts) or None,
-            epsabs=1e-13,
-            epsrel=1e-9,
-            limit=200,
-        )
-        if abs_err > max(1e-9 * abs(val), 1e-12):
-            raise QuadratureError(
-                f"cell ({lo}, {hi}) did not converge: value {val}, error {abs_err}"
-            )
-        total += val
-    return total
+    edges = np.arange(x.size + 1) / x.size
+    lo, hi = edges[:-1], edges[1:]
+    crossing = np.clip(law.cdf(x), lo, hi)
+    g = law._integrated_quantile
+    return float(np.sum(x * (2.0 * crossing - lo - hi) + g(lo) + g(hi) - 2.0 * g(crossing)))
 
 
 def parse_distribution(text: str) -> InitialDistribution:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from rankflow.errors import ConfigError, DomainError
 
 
 @dataclass(frozen=True)

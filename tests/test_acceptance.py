@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rankflow import (BurgersSolution, FluxFunction, HeatKernel,
+from heatkernel import HeatKernel
+from rankflow import (BurgersSolution, FluxFunction,
                       SimulationConfig, StudySpec, init_w1_to_m,
                       optimal_positions, run_study, simulate,
                       strong_error_point, w1_cdf_form, w_rho_empirical)

@@ -13,6 +13,9 @@ from rankflow import (BurgersSolution, FluxFunction, NumericalError,
                       SimulationConfig, simulate)
 
 
+SRC = os.path.dirname(os.path.dirname(rankflow.__file__))
+
+
 def run_cli(args):
     return cli.main(args)
 
@@ -175,8 +178,7 @@ def test_bad_thread_count_is_config_error(monkeypatch, threads):
 
 def run_cli_process(args):
     """The CLI in a fresh interpreter, with every warning shown on stderr."""
-    src = os.path.dirname(os.path.dirname(rankflow.__file__))
-    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="default")
     return subprocess.run([sys.executable, "-m", "rankflow.cli", *args], env=env,
                           capture_output=True, text=True, timeout=60)
 
@@ -194,3 +196,42 @@ def test_rejected_input_exits_two_at_once(args):
     assert done.stderr.startswith("rankflow: ")
     assert "Traceback" not in done.stderr
     assert "RuntimeWarning" not in done.stderr
+
+
+def test_out_of_memory_exits_three():
+    # 10**15 particles need more bytes than any 64-bit user address space
+    # holds, so the first allocation fails without touching memory
+    done = run_cli_process(["simulate", "--particles", str(10**15), "--step", "0.5"])
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("rankflow: out of memory: ")
+    assert done.stderr.count("\n") == 1
+
+
+def test_dead_worker_exits_three(tmp_path):
+    # importing this module makes every strong run end its worker process
+    (tmp_path / "dying_runs.py").write_text(
+        "import os\n"
+        "import rankflow.harness\n\n\n"
+        "def die(*args):\n"
+        "    os._exit(1)\n\n\n"
+        "rankflow.harness._strong_run = die\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, str(tmp_path)]))
+    code = "import sys, dying_runs, rankflow.cli; sys.exit(rankflow.cli.main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, "strong", "--sweep", "n:4",
+                           "--runs", "4", "--step", "0.5", "--threads", "2"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("rankflow: a worker process died: ")
+    assert done.stderr.count("\n") == 1
+
+
+def test_cli_import_loads_no_integrate_optimize_or_sparse():
+    code = ("import sys, rankflow.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

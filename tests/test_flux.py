@@ -88,7 +88,7 @@ def test_polynomial_lipschitz_speed():
 
 def test_parse_flux():
     assert parse_flux("burgers").kind == "burgers"
-    assert parse_flux("quadratic").kind == "quadratic"
+    assert parse_flux("quadratic") == FluxFunction.polynomial((0.0, 0.0, 0.5))
     p = parse_flux("poly:0.0,0.0,0.5")
     assert p.value(0.5) == 0.125
     for bad in ("bogus", "poly:a,b", "poly:"):

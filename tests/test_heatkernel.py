@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rankflow import ConfigError, DomainError, HeatKernel
+from heatkernel import HeatKernel
+from rankflow import ConfigError, DomainError
 
 PROBES_T = (0.1, 1.0, 4.0)
 PROBES_SIGMA = (0.5, 1.0, 2.0)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from rankflow import (ConfigError, DiracAtZero, DomainError, Gaussian,
-                      QuadratureError, QuantileTable, Uniform, iid_positions,
-                      init_w1_to_m, optimal_positions, parse_distribution)
+                      QuantileTable, Uniform, iid_positions, init_w1_to_m,
+                      optimal_positions, parse_distribution, w_rho_empirical)
 from rankflow.stream import derive_seed, make_generator
 
 ALL_LAWS = [
@@ -130,12 +131,40 @@ def test_init_w1_rejects_unsorted():
         init_w1_to_m(np.array([1.0, 0.0]), Uniform(0.0, 1.0))
 
 
-def test_init_w1_reports_quadrature_failure(monkeypatch):
-    import rankflow.initial as initial_mod
+def quadrature_w1(positions, law):
+    """Reference W1: adaptive quadrature of |x_i - quantile| on each cell."""
+    n = positions.size
+    total = 0.0
+    for i, x in enumerate(positions):
+        lo, hi = i / n, (i + 1) / n
+        crossing = float(law.cdf(x))
+        total += quad(lambda u: abs(x - law.quantile(u)), lo, hi,
+                      points=[crossing] if lo < crossing < hi else None,
+                      epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+    return total
 
-    monkeypatch.setattr(initial_mod, "quad", lambda *a, **k: (1.0, 0.5))
-    with pytest.raises(QuadratureError):
-        init_w1_to_m(np.array([0.5]), Uniform(0.0, 1.0))
+
+def placements(law, n):
+    """Optimal, shifted optimal and sorted i.i.d. positions."""
+    optimal = optimal_positions(law, n)
+    return (optimal, optimal + 0.3, np.sort(iid_positions(law, n, make_generator(n))))
+
+
+@pytest.mark.parametrize("law", [Uniform(0.0, 1.0), Uniform(-1.0, 3.0), Gaussian(0.5, 2.0)],
+                         ids=["unif01", "unif-13", "gauss"])
+@pytest.mark.parametrize("n", [1, 10, 100])
+def test_init_w1_matches_quadrature(law, n):
+    for pos in placements(law, n):
+        assert init_w1_to_m(pos, law) == pytest.approx(quadrature_w1(pos, law), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 10, 100])
+def test_init_w1_equal_weight_table_matches_empirical_w1(n):
+    rng = make_generator(derive_seed(7, n))
+    atoms = np.sort(rng.normal(size=n))
+    law = QuantileTable(tuple(atoms), (1.0 / n,) * n)
+    for pos in placements(Gaussian(0.2, 1.5), n):
+        assert init_w1_to_m(pos, law) == pytest.approx(w_rho_empirical(pos, atoms), rel=1e-9)
 
 
 def test_iid_empirical_cdf_unbiased():
