@@ -27,9 +27,7 @@ from .engine import (FRACTIONAL_RANK, IID, OPTIMAL, RANK_COEFFICIENT, InitRule,
 from .errors import ConfigError, EmitError, NumericalError, RankflowError
 from .exact import BurgersSolution
 from .flux import parse_flux
-from .initial import DiracAtZero, parse_distribution
-
-_SCHEMES = {"rank": RANK_COEFFICIENT, "frac": FRACTIONAL_RANK}
+from .initial import parse_distribution
 
 # Desk-scale presets run each study in minutes on one core; the full-scale
 # presets reproduce the headline tables.  Explicit flags always win.
@@ -75,10 +73,11 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                         help="diffusion parameter sigma^2")
     parser.add_argument("--flux", default="burgers",
                         help="burgers | quadratic | poly:c0,c1,...")
-    parser.add_argument("--scheme", choices=sorted(_SCHEMES), default="rank",
+    parser.add_argument("--scheme", choices=[RANK_COEFFICIENT, FRACTIONAL_RANK],
+                        default=RANK_COEFFICIENT,
                         help="drift from rank coefficients or from the speed at rank/N")
-    parser.add_argument("--init", choices=["dirac", "optimal", "iid"], default="dirac",
-                        help="particle placement rule")
+    parser.add_argument("--init", choices=[OPTIMAL, IID], default=OPTIMAL,
+                        help="placement of the particles in the initial law --dist")
     parser.add_argument("--dist", default="dirac0",
                         help="initial law: dirac0 | uniform:c,d | gauss:mu,sd")
     parser.add_argument("--seed", type=int, default=42, help="base seed (64-bit)")
@@ -132,31 +131,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_init(args) -> InitRule:
-    if args.init == "dirac":
-        return InitRule(OPTIMAL, DiracAtZero())
-    rule = OPTIMAL if args.init == "optimal" else IID
-    return InitRule(rule, parse_distribution(args.dist))
-
-
 def _sigma(args) -> float:
     if not 0.0 < args.sigma2 < np.inf:
         raise ConfigError("--sigma2 must be finite and > 0")
     return float(np.sqrt(args.sigma2))
 
 
-def _cmd_simulate(args) -> int:
-    config = SimulationConfig(
-        n_particles=args.particles,
-        step=args.step,
+def _config(args, particles: int, step: float) -> SimulationConfig:
+    """The run the model flags describe, with N particles and Euler step h."""
+    return SimulationConfig(
+        n_particles=particles,
+        step=step,
         horizon=args.horizon,
         sigma=_sigma(args),
         flux=parse_flux(args.flux),
-        scheme=_SCHEMES[args.scheme],
-        init=_make_init(args),
+        scheme=args.scheme,
+        init=InitRule(args.init, parse_distribution(args.dist)),
         seed=args.seed,
     )
-    final = simulate(config)
+
+
+def _cmd_simulate(args) -> int:
+    final = simulate(_config(args, args.particles, args.step))
     if args.emit_positions:
         try:
             with open(args.emit_positions, "w", newline="", encoding="ascii") as handle:
@@ -220,16 +216,7 @@ def _cmd_study(kind: str, args) -> int:
         particles = args.particles if args.particles is not None else preset["particles"]
     runs = args.runs if args.runs is not None else preset["runs"]
 
-    base = SimulationConfig(
-        n_particles=particles,
-        step=step,
-        horizon=args.horizon,
-        sigma=_sigma(args),
-        flux=parse_flux(args.flux),
-        scheme=_SCHEMES[args.scheme],
-        init=_make_init(args),
-        seed=args.seed,
-    )
+    base = _config(args, particles, step)
     if kind == harness.STRONG:
         spec = harness.StudySpec(kind, base, sweep, values, runs,
                                  paired_seeds=args.paired_seeds)

@@ -2,8 +2,8 @@
 
 ConfigError covers anything a caller got wrong (bad parameters, impossible
 study setups); NumericalError covers runtime failures of the numerics
-(root brackets that cannot be established, bisection that does not reach
-its tolerance). The CLI maps them to exit codes 2 and 3 respectively.
+(root brackets that cannot be established). The CLI maps them to exit
+codes 2 and 3 respectively.
 """
 
 

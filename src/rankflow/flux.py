@@ -23,11 +23,12 @@ from .errors import ConfigError, DomainError
 BURGERS = "burgers"
 POLYNOMIAL = "polynomial"
 
+#: monomial coefficients of the Burgers flux -(1-u)^2 / 2
+_BURGERS_COEFFICIENTS = (-0.5, 1.0, -0.5)
+
 
 def _sup_abs_on_unit_interval(coeffs: tuple[float, ...]) -> float:
     """sup of |polynomial| on [0, 1], via the critical points."""
-    if len(coeffs) <= 1:
-        return abs(coeffs[0]) if coeffs else 0.0
     deriv = npoly.polyder(coeffs)
     candidates = [0.0, 1.0]
     roots = npoly.polyroots(deriv) if len(deriv) > 1 else []
@@ -42,18 +43,14 @@ class FluxFunction:
     """A C^1 flux on [0, 1] with exact polynomial derivative.
 
     ``coefficients`` are the monomial coefficients of the flux in ascending
-    degree; the derivative coefficients are obtained symbolically so the
-    derivative is exact, not a finite difference.  ``lipschitz_speed`` is
-    the Lipschitz constant of the derivative on [0, 1] (informational).
+    degree, and the flux's only stored value; the derivative coefficients
+    are obtained symbolically so the derivative is exact, not a finite
+    difference.  ``kind`` and ``lipschitz_speed`` are derived from them.
     """
 
-    kind: str
     coefficients: tuple[float, ...]
-    lipschitz_speed: float
 
     def __post_init__(self):
-        if self.kind not in (BURGERS, POLYNOMIAL):
-            raise ConfigError(f"unknown flux kind {self.kind!r}")
         if not self.coefficients:
             raise ConfigError("flux needs at least one coefficient")
         if not all(np.isfinite(self.coefficients)):
@@ -64,7 +61,7 @@ class FluxFunction:
     @classmethod
     def burgers(cls) -> "FluxFunction":
         """flux(u) = -(1-u)^2 / 2, speed(u) = 1 - u."""
-        return cls(BURGERS, (-0.5, 1.0, -0.5), 1.0)
+        return cls(_BURGERS_COEFFICIENTS)
 
     @classmethod
     def quadratic(cls) -> "FluxFunction":
@@ -73,15 +70,26 @@ class FluxFunction:
 
     @classmethod
     def polynomial(cls, coefficients) -> "FluxFunction":
-        coeffs = tuple(float(c) for c in coefficients)
-        curvature = npoly.polyder(coeffs, 2) if len(coeffs) > 2 else (0.0,)
-        return cls(POLYNOMIAL, coeffs, _sup_abs_on_unit_interval(tuple(curvature)))
+        return cls(tuple(float(c) for c in coefficients))
+
+    # -- derived values ----------------------------------------------------
+
+    @property
+    def kind(self) -> str:
+        """``burgers`` exactly for the Burgers coefficients (closed-form drift
+        table and exact reference), else ``polynomial``."""
+        return BURGERS if self.coefficients == _BURGERS_COEFFICIENTS else POLYNOMIAL
+
+    @property
+    def lipschitz_speed(self) -> float:
+        """Lipschitz constant of the derivative on [0, 1] (informational)."""
+        return _sup_abs_on_unit_interval(tuple(npoly.polyder(self.coefficients, 2)))
 
     # -- evaluation --------------------------------------------------------
 
     @property
     def derivative_coefficients(self) -> tuple[float, ...]:
-        return tuple(npoly.polyder(self.coefficients)) if len(self.coefficients) > 1 else (0.0,)
+        return tuple(npoly.polyder(self.coefficients))
 
     def value(self, u):
         """Flux value at ``u`` in [0, 1] (scalar or array)."""

@@ -76,8 +76,8 @@ class Uniform(InitialDistribution):
     upper: float
 
     def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ConfigError("uniform law needs lower < upper")
+        if not -np.inf < self.lower < self.upper < np.inf:
+            raise ConfigError("uniform law needs finite lower < upper")
 
     @property
     def support(self):
@@ -103,8 +103,8 @@ class Gaussian(InitialDistribution):
     support = None
 
     def __post_init__(self):
-        if not self.stddev > 0.0:
-            raise ConfigError("gaussian law needs stddev > 0")
+        if not (np.isfinite(self.mean) and 0.0 < self.stddev < np.inf):
+            raise ConfigError("gaussian law needs a finite mean and a finite stddev > 0")
 
     def cdf(self, x):
         a, scalar = _as_array(x)
@@ -131,6 +131,8 @@ class QuantileTable(InitialDistribution):
         probs = np.asarray(self.probabilities, dtype=float)
         if atoms.size == 0 or atoms.size != probs.size:
             raise ConfigError("atoms and probabilities must be non-empty and equal length")
+        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(probs))):
+            raise ConfigError("atoms and probabilities must be finite")
         if np.any(np.diff(atoms) <= 0.0):
             raise ConfigError("atoms must be strictly increasing")
         if np.any(probs <= 0.0) or abs(probs.sum() - 1.0) > 1e-12:

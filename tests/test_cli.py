@@ -9,8 +9,9 @@ import pytest
 
 import rankflow
 import rankflow.cli as cli
-from rankflow import (BurgersSolution, FluxFunction, NumericalError,
-                      SimulationConfig, simulate)
+from rankflow import (FRACTIONAL_RANK, IID, OPTIMAL, BurgersSolution, FluxFunction,
+                      Gaussian, InitRule, NumericalError, SimulationConfig, Uniform,
+                      simulate)
 
 
 SRC = os.path.dirname(os.path.dirname(rankflow.__file__))
@@ -41,6 +42,32 @@ def test_simulate_writes_positions_csv(tmp_path, capsys):
 def test_simulate_summary_only(capsys):
     assert run_cli(["simulate", "--particles", "8", "--step", "0.25"]) == 0
     assert "final time 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, model", [
+    (["--init", "iid", "--dist", "gauss:0,1", "--scheme", "frac",
+      "--flux", "poly:0.2,-0.4,0.1,0.3333333333333333"],
+     dict(flux=FluxFunction.polynomial((0.2, -0.4, 0.1, 0.3333333333333333)),
+          scheme=FRACTIONAL_RANK, init=InitRule(IID, Gaussian(0.0, 1.0)))),
+    # no --init: the default placement still starts from the --dist law
+    (["--dist", "uniform:5,6"],
+     dict(flux=FluxFunction.burgers(), init=InitRule(OPTIMAL, Uniform(5.0, 6.0)))),
+], ids=["iid-gauss-frac-poly", "dist-without-init"])
+def test_simulate_model_flags_match_library(tmp_path, flags, model):
+    out = tmp_path / "pos.csv"
+    assert run_cli(["simulate", "--particles", "6", "--step", "0.25", "--seed", "9", *flags,
+                    "--emit-positions", str(out)]) == 0
+    cfg = SimulationConfig(n_particles=6, step=0.25, horizon=1.0, sigma=float(np.sqrt(0.2)),
+                           seed=9, **model)
+    with out.open() as handle:
+        written = [row[1] for row in list(csv.reader(handle))[1:]]
+    assert written == [f"{v:.17g}" for v in simulate(cfg).positions]
+
+
+def test_init_dirac_is_not_a_choice():
+    with pytest.raises(SystemExit) as info:
+        run_cli(["simulate", "--particles", "4", "--step", "0.5", "--init", "dirac"])
+    assert info.value.code == 2
 
 
 # -- exact -------------------------------------------------------------------
@@ -75,6 +102,14 @@ def test_strong_study_csv(tmp_path):
     assert rows[0] == ["parameter", "estimation", "precision", "ratio"]
     assert [r[0] for r in rows[1:]] == ["4", "8"]
     assert rows[1][3] == "" and rows[2][3] != ""
+
+
+def test_burgers_coefficients_give_the_burgers_table(tmp_path):
+    args = ["strong", "--sweep", "n:4,8", "--runs", "3", "--step", "0.5"]
+    a, b = tmp_path / "burgers.csv", tmp_path / "poly.csv"
+    assert run_cli(args + ["--flux", "burgers", "--out", str(a)]) == 0
+    assert run_cli(args + ["--flux", "poly:-0.5,1,-0.5", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_weak_study_json(tmp_path):
@@ -188,7 +223,9 @@ def run_cli_process(args):
     ["exact", "--horizon", "inf", "--grid", "4"],
     ["exact", "--horizon", "nan", "--grid", "4"],
     ["exact", "--sigma2", "-1", "--grid", "4"],
-], ids=["too-many-steps", "infinite-horizon", "nan-horizon", "negative-sigma2"])
+    ["simulate", "--particles", "4", "--step", "0.5", "--init", "iid", "--dist", "uniform:-inf,0"],
+], ids=["too-many-steps", "infinite-horizon", "nan-horizon", "negative-sigma2",
+        "infinite-law-bound"])
 def test_rejected_input_exits_two_at_once(args):
     done = run_cli_process(args)
     assert done.returncode == 2
@@ -196,6 +233,13 @@ def test_rejected_input_exits_two_at_once(args):
     assert done.stderr.startswith("rankflow: ")
     assert "Traceback" not in done.stderr
     assert "RuntimeWarning" not in done.stderr
+
+
+def test_exact_at_tiny_viscosity_exits_zero():
+    done = run_cli_process(["exact", "--sigma2", "1e-9", "--grid", "4"])
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert done.stdout.splitlines()[0] == "u,quantile"
 
 
 def test_out_of_memory_exits_three():

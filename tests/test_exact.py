@@ -75,6 +75,19 @@ def test_quantile_monotone():
     assert np.all(np.diff(SOL.quantile(1.0, levels)) > 0.0)
 
 
+@pytest.mark.parametrize("sigma2", [1e-6, 1e-9])
+def test_quantile_brackets_level_at_small_viscosity(sigma2):
+    # the CDF is too steep for |cdf(x) - u| to reach a fixed tolerance; the
+    # quantile is pinned by its bracket: cdf(x - delta) <= u <= cdf(x + delta)
+    sol = BurgersSolution(np.sqrt(sigma2))
+    levels = np.arange(1, 5000) / 5000
+    x = sol.quantile(1.0, levels)
+    delta = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(x))
+    assert np.all(sol.cdf(1.0, x - delta) <= levels)
+    assert np.all(levels <= sol.cdf(1.0, x + delta))
+    assert np.all(np.diff(x) > 0.0)
+
+
 def test_quantile_bracket_failure(monkeypatch):
     # a constant CDF can never straddle the target level
     monkeypatch.setattr(BurgersSolution, "cdf", lambda self, t, x: np.zeros_like(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,16 @@ def test_polynomial_lipschitz_speed():
     # derivative of CUBIC's speed is 2u + 0.2, sup on [0,1] at u=1
     assert CUBIC.lipschitz_speed == pytest.approx(2.2, abs=1e-12)
     assert FluxFunction.burgers().lipschitz_speed == 1.0
+    assert FluxFunction.quadratic().lipschitz_speed == 1.0
+    assert FluxFunction.polynomial((0.3, -2.0)).lipschitz_speed == 0.0
+
+
+def test_flux_is_its_coefficients():
+    # kind and lipschitz_speed are derived; the coefficients are the only field
+    assert [f.name for f in dataclasses.fields(FluxFunction)] == ["coefficients"]
+    assert FluxFunction.burgers().kind == "burgers"
+    for f in (FluxFunction.quadratic(), CUBIC, FluxFunction.polynomial((-0.5, 1.0, -0.5, 0.1))):
+        assert f.kind == "polynomial"
 
 
 def test_parse_flux():
@@ -97,8 +109,8 @@ def test_parse_flux():
 
 
 def test_invalid_construction():
-    with pytest.raises(ConfigError):
-        FluxFunction("nope", (0.0,), 0.0)
+    assert FluxFunction.polynomial((-0.5, 1.0, -0.5)) == FluxFunction.burgers()
+    assert FluxFunction.polynomial((-0.5, 1.0, -0.5)).kind == "burgers"
     with pytest.raises(ConfigError):
         FluxFunction.polynomial(())
     with pytest.raises(ConfigError):

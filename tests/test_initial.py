@@ -191,6 +191,22 @@ def test_quantile_table_validation():
         QuantileTable((), ())
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Uniform(0.0, np.inf),
+    lambda: Uniform(-np.inf, 0.0),
+    lambda: Uniform(np.nan, 1.0),
+    lambda: Gaussian(np.nan, 1.0),
+    lambda: Gaussian(0.0, np.inf),
+    lambda: QuantileTable((0.0, np.inf), (0.5, 0.5)),
+    lambda: QuantileTable((np.nan, 1.0), (0.5, 0.5)),
+    lambda: QuantileTable((0.0, 1.0), (np.nan, np.nan)),
+], ids=["uniform-upper-inf", "uniform-lower-inf", "uniform-nan", "gauss-mean-nan",
+        "gauss-stddev-inf", "table-atom-inf", "table-atom-nan", "table-probabilities-nan"])
+def test_law_parameters_must_be_finite(make):
+    with pytest.raises(ConfigError):
+        make()
+
+
 def test_parse_distribution():
     assert isinstance(parse_distribution("dirac0"), DiracAtZero)
     u = parse_distribution("uniform:-1,3")
