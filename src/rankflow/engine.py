@@ -7,9 +7,9 @@ Brownian increments.  Two drift variants are supported:
 
 * rank coefficient (default): the cell average of the flux derivative,
   ``n * (flux(q/n) - flux((q-1)/n))``, from
-  :func:`rankflow.flux.cell_average_speeds` one cell below
-  ``FluxFunction.rank_coefficients``; the lowest cell reaches below the
-  unit interval, where the polynomial flux extends naturally;
+  :func:`rankflow.flux.cell_average_speeds` with ``first_cell = -1``, one
+  cell below the one-based cell averages; the lowest cell reaches below
+  the unit interval, where the polynomial flux extends naturally;
 * fractional rank: the flux derivative evaluated at q/n.
 
 For the Burgers flux the two variants differ by exactly 1/(2n) in every
@@ -117,22 +117,12 @@ class ParticleEnsemble:
         object.__setattr__(self, "positions", pos)
 
 
-def rank_counts(positions: np.ndarray) -> np.ndarray:
-    """Weak-inequality count r_i = #{j : x_j <= x_i}, values in 1..n.
-
-    A permutation of 1..n when positions are distinct; tied particles share
-    the count of their group's top member.
-    """
-    x = np.asarray(positions, dtype=float)
-    return np.searchsorted(np.sort(x), x, side="right")
-
-
 def zero_based_ranks(positions: np.ndarray) -> np.ndarray:
     """Strictly-smaller count with stable index tie-break; always 0..n-1.
 
-    This is the rank that selects the drift coefficient: it equals
-    ``rank_counts - 1`` whenever positions are distinct, and hands tied
-    particles distinct consecutive ranks in original index order.
+    This is the rank that selects the drift coefficient: it is the number
+    of strictly smaller particles, and tied particles get distinct
+    consecutive ranks in original index order.
 
     The order comes from numpy's default (SIMD, unstable) sort.  Without
     ties every correct sort yields the same permutation; only when the
@@ -200,17 +190,6 @@ def _advance(x: np.ndarray, drift: np.ndarray, sigma: float, h: float, n_full: i
             moved += increment
             x = moved
             yield x
-
-
-def euler_step(state: ParticleEnsemble, config: SimulationConfig, dt: float,
-               rng: np.random.Generator) -> ParticleEnsemble:
-    """One Euler step of length dt: drift frozen at the input state's ranks."""
-    if not 0.0 < dt <= config.step:
-        raise ConfigError("need 0 < dt <= config.step")
-    if state.positions.size != config.n_particles:
-        raise ConfigError("state size does not match config.n_particles")
-    (x,) = _advance(state.positions, _drift_table(config), config.sigma, dt, 1, 0.0, rng)
-    return ParticleEnsemble(state.time + dt, x)
 
 
 def simulate(config: SimulationConfig,

@@ -11,7 +11,8 @@ moderate x/sigma^2, so it is evaluated as a logistic function of
 which is stable for |x| up to 1e4 and sigma^2 down to 1e-3 and beyond
 (log Phi switches to an asymptotic tail expansion internally for very
 negative arguments).  The profile is symmetric about x = t/2, where the
-value is exactly 1/2.
+value is exactly 1/2.  The finite-difference PDE residual that checks this
+closed form is a test oracle, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,20 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, expit, log_ndtr
+from scipy.special import expit, log_ndtr
 
 from .errors import BracketError, ConfigError, DomainError
-from .flux import FluxFunction
-
-_SQRT2 = np.sqrt(2.0)
 
 _BISECTION_ROUNDS = 200
 _BRACKET_EXPANSIONS = 200
-
-
-def normal_cdf(x):
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * erfc(-np.asarray(x, dtype=float) / _SQRT2)
 
 
 @dataclass(frozen=True)
@@ -104,23 +97,3 @@ class BurgersSolution:
                 break
         x = 0.5 * (lo + hi)
         return float(x[0]) if scalar else x
-
-    def pde_residual(self, t: float, x: float, delta: float) -> float:
-        """Centered finite-difference residual of the conservation law.
-
-        Estimates d_t F + d_x flux(F) - (sigma^2/2) d_xx F with a stencil of
-        width delta; the closed form solves the PDE, so the value is the
-        O(delta^2) truncation error.  Used as a self-validation oracle.
-        """
-        if not delta > 0.0:
-            raise ConfigError("delta must be > 0")
-        if not t > 2.0 * delta:
-            raise DomainError("need t > 2*delta to center the time stencil")
-        flux = FluxFunction.burgers()
-        dt_term = (self.cdf(t + delta, x) - self.cdf(t - delta, x)) / (2.0 * delta)
-        f_mid = self.cdf(t, x)
-        f_left = self.cdf(t, x - delta)
-        f_right = self.cdf(t, x + delta)
-        dx_flux = (flux.value(f_right) - flux.value(f_left)) / (2.0 * delta)
-        dxx_term = (f_right - 2.0 * f_mid + f_left) / delta**2
-        return float(dt_term + dx_flux - 0.5 * self.sigma**2 * dxx_term)

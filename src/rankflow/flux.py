@@ -27,17 +27,6 @@ POLYNOMIAL = "polynomial"
 _BURGERS_COEFFICIENTS = (-0.5, 1.0, -0.5)
 
 
-def _sup_abs_on_unit_interval(coeffs: tuple[float, ...]) -> float:
-    """sup of |polynomial| on [0, 1], via the critical points."""
-    deriv = npoly.polyder(coeffs)
-    candidates = [0.0, 1.0]
-    roots = npoly.polyroots(deriv) if len(deriv) > 1 else []
-    for r in np.atleast_1d(roots):
-        if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0:
-            candidates.append(float(r.real))
-    return float(max(abs(npoly.polyval(c, coeffs)) for c in candidates))
-
-
 @dataclass(frozen=True)
 class FluxFunction:
     """A C^1 flux on [0, 1] with exact polynomial derivative.
@@ -45,7 +34,8 @@ class FluxFunction:
     ``coefficients`` are the monomial coefficients of the flux in ascending
     degree, and the flux's only stored value; the derivative coefficients
     are obtained symbolically so the derivative is exact, not a finite
-    difference.  ``kind`` and ``lipschitz_speed`` are derived from them.
+    difference.  ``kind`` is derived from them.  Trailing zero coefficients
+    are dropped (one is kept), so every spelling of a polynomial is one flux.
     """
 
     coefficients: tuple[float, ...]
@@ -55,6 +45,10 @@ class FluxFunction:
             raise ConfigError("flux needs at least one coefficient")
         if not all(np.isfinite(self.coefficients)):
             raise ConfigError("flux coefficients must be finite")
+        coefficients = tuple(self.coefficients)
+        while len(coefficients) > 1 and coefficients[-1] == 0.0:
+            coefficients = coefficients[:-1]
+        object.__setattr__(self, "coefficients", coefficients)
 
     # -- constructors ------------------------------------------------------
 
@@ -80,30 +74,16 @@ class FluxFunction:
         table and exact reference), else ``polynomial``."""
         return BURGERS if self.coefficients == _BURGERS_COEFFICIENTS else POLYNOMIAL
 
-    @property
-    def lipschitz_speed(self) -> float:
-        """Lipschitz constant of the derivative on [0, 1] (informational)."""
-        return _sup_abs_on_unit_interval(tuple(npoly.polyder(self.coefficients, 2)))
-
     # -- evaluation --------------------------------------------------------
 
     @property
     def derivative_coefficients(self) -> tuple[float, ...]:
         return tuple(npoly.polyder(self.coefficients))
 
-    def value(self, u):
-        """Flux value at ``u`` in [0, 1] (scalar or array)."""
-        u = self._check_domain(u)
-        return npoly.polyval(u, self.coefficients)
-
     def derivative(self, u):
         """Characteristic speed, the exact derivative of the flux."""
         u = self._check_domain(u)
         return npoly.polyval(u, self.derivative_coefficients)
-
-    def max_speed(self) -> float:
-        """sup of |derivative| on [0, 1]; bounds every drift coefficient."""
-        return _sup_abs_on_unit_interval(self.derivative_coefficients)
 
     @staticmethod
     def _check_domain(u):
@@ -111,17 +91,6 @@ class FluxFunction:
         if np.any(u < 0.0) or np.any(u > 1.0):
             raise DomainError("flux argument must lie in [0, 1]")
         return u[()] if u.ndim == 0 else u
-
-    def rank_coefficients(self, n_particles: int) -> np.ndarray:
-        """Drift coefficients for ranks 1..n, cached per (flux, n).
-
-        These are the cell averages over [(i-1)/n, i/n], i = 1..n; see
-        :func:`cell_average_speeds`.  The returned array is read-only
-        because it is shared by all callers.
-        """
-        if n_particles < 1:
-            raise ConfigError("n_particles must be >= 1")
-        return cell_average_speeds(self, int(n_particles), 0)
 
 
 @lru_cache(maxsize=64)

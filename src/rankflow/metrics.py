@@ -1,9 +1,4 @@
-"""Wasserstein-1 distances and the two estimators against an exact CDF.
-
-For equal-size empirical measures the optimal coupling pairs order
-statistics, so the distance is a mean of sorted differences; equivalently
-it is the L1 norm of the CDF difference, computed here by an exact event
-sweep.  Against a continuous reference CDF two estimators are provided:
+"""The two estimators of the W1 distance of a sample to an exact CDF.
 
 * grid-free: a trapezoid sum over the sorted sample, using the reference
   CDF at the sample points.  It integrates only between the extreme order
@@ -13,6 +8,9 @@ sweep.  Against a continuous reference CDF two estimators are provided:
   value (2k+1)/(2K) standing in for the CDF on each cell, and doubled
   boundary half-cells.  Suited to averaged CDF vectors where the sample
   itself is too large to keep.
+
+W1 between two empirical measures, which checks these estimators, is a
+test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -24,36 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputWarning
-
-
-def w_rho_empirical(a, b, rho: float = 1.0) -> float:
-    """Wasserstein-rho distance between two equal-size empirical measures."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
-        raise ConfigError("need two non-empty vectors of equal length")
-    if rho < 1.0:
-        raise ConfigError("rho must be >= 1")
-    diff = np.abs(np.sort(a) - np.sort(b))
-    return float(np.mean(diff**rho) ** (1.0 / rho))
-
-
-def w1_cdf_form(a, b) -> float:
-    """W1 as the exact L1 norm of the empirical CDF difference.
-
-    Event sweep over the merged atoms; sizes may differ (each empirical
-    measure weights its own atoms by 1/size).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:
-        raise ConfigError("need two non-empty vectors")
-    grid = np.unique(np.concatenate([a, b]))
-    if grid.size == 1:
-        return 0.0
-    cdf_a = np.searchsorted(np.sort(a), grid[:-1], side="right") / a.size
-    cdf_b = np.searchsorted(np.sort(b), grid[:-1], side="right") / b.size
-    return float(np.sum(np.abs(cdf_a - cdf_b) * np.diff(grid)))
 
 
 def empirical_cdf_at(positions, x):

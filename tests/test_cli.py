@@ -108,8 +108,9 @@ def test_burgers_coefficients_give_the_burgers_table(tmp_path):
     args = ["strong", "--sweep", "n:4,8", "--runs", "3", "--step", "0.5"]
     a, b = tmp_path / "burgers.csv", tmp_path / "poly.csv"
     assert run_cli(args + ["--flux", "burgers", "--out", str(a)]) == 0
-    assert run_cli(args + ["--flux", "poly:-0.5,1,-0.5", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    for spelling in ("poly:-0.5,1,-0.5", "poly:-0.5,1,-0.5,0"):
+        assert run_cli(args + ["--flux", spelling, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_weak_study_json(tmp_path):
@@ -147,6 +148,17 @@ def test_bad_flux_is_config_error(capsys):
     assert run_cli(["simulate", "--particles", "4", "--step", "0.5",
                     "--flux", "bogus"]) == 2
     assert "rankflow:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("uniform:3,-1", "uniform law needs finite lower < upper"),
+    ("uniform:1", "bad distribution spec 'uniform:1'"),
+    ("gauss:a,b", "bad distribution spec 'gauss:a,b'"),
+], ids=["law-reason", "too-few-values", "not-a-number"])
+def test_bad_distribution_reports_its_reason(capsys, spec, reason):
+    assert run_cli(["simulate", "--particles", "5", "--step", "0.5", "--horizon", "0.5",
+                    "--init", "iid", "--dist", spec]) == 2
+    assert capsys.readouterr().err == f"rankflow: {reason}\n"
 
 
 def test_bad_sweep_is_config_error():

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
+from oracles import QuantileTable, lipschitz_speed, max_speed, rank_counts
 from rankflow import (BurgersSolution, ConfigError, FluxFunction, Gaussian, InitRule,
-                      ParticleEnsemble, SimulationConfig, Uniform, euler_step,
-                      psi_grid_free, rank_counts, simulate, sorted_view)
+                      ParticleEnsemble, SimulationConfig, Uniform, optimal_positions,
+                      psi_grid_free, simulate, sorted_view)
 from rankflow import engine
 from rankflow.engine import FRACTIONAL_RANK, IID, MAX_STEPS, OPTIMAL, zero_based_ranks
-from rankflow.stream import derive_seed, make_generator
+from rankflow.flux import cell_average_speeds
+from rankflow.stream import derive_seed, make_generator, standard_normals
 
 BURGERS = FluxFunction.burgers()
 
@@ -83,21 +85,23 @@ def test_simulate_equals_chain_of_euler_steps(init):
     assert engine._DRAW_BLOCK // n == 2
     cfg = config(n_particles=n, step=0.25, horizon=1.6, sigma=0.4, init=init, seed=8)
     x = init.positions(n, make_generator(derive_seed(cfg.seed, 0)))
-    rng = make_generator(derive_seed(cfg.seed, 1))
-    state = ParticleEnsemble(0.0, x)
-    for _ in range(6):
-        state = euler_step(state, cfg, cfg.step, rng)
-    state = euler_step(state, cfg, cfg.horizon - 6 * cfg.step, rng)
-    assert simulate(cfg).positions.tobytes() == state.positions.tobytes()
+    noise = standard_normals(make_generator(derive_seed(cfg.seed, 1)), (7, n))
+    drift = cell_average_speeds(cfg.flux, n, -1)
+    for k, z in enumerate(noise):
+        dt = cfg.step if k < 6 else cfg.horizon - 6 * cfg.step
+        # the Euler recursion, in the step kernel's order of operations
+        x = drift[zero_based_ranks(x)] * dt + x + z * (cfg.sigma * np.sqrt(dt))
+    assert simulate(cfg).positions.tobytes() == x.tobytes()
 
 
 # -- single steps ------------------------------------------------------------
 
 def test_euler_step_two_particles_no_noise():
     # coefficients for n=2 are [1.25, 0.75] at zero-based ranks [0, 1]
-    cfg = config(n_particles=2, step=1.0, horizon=1.0, sigma=0.0)
-    state = ParticleEnsemble(0.0, np.array([0.0, 1.0]))
-    out = euler_step(state, cfg, 1.0, make_generator(0))
+    law = Uniform(-0.5, 1.5)
+    assert optimal_positions(law, 2).tolist() == [0.0, 1.0]
+    cfg = config(n_particles=2, step=1.0, horizon=1.0, sigma=0.0, init=InitRule(OPTIMAL, law))
+    out = simulate(cfg)
     np.testing.assert_allclose(out.positions, [1.25, 1.75], atol=1e-15)
     assert out.time == 1.0
 
@@ -107,8 +111,8 @@ def test_euler_step_tied_start_fans_out():
     # length dt produces the full coefficient fan (1 - (2q-1)/(2n)) * dt
     n, dt = 8, 0.25
     cfg = config(n_particles=n, step=dt, horizon=dt, sigma=0.0)
-    state = ParticleEnsemble(0.0, np.zeros(n))
-    out = euler_step(state, cfg, dt, make_generator(0))
+    assert optimal_positions(cfg.init.distribution, n).tolist() == [0.0] * n
+    out = simulate(cfg)
     q = np.arange(n)
     np.testing.assert_allclose(out.positions, (1.0 - (2.0 * q - 1.0) / (2.0 * n)) * dt,
                                atol=1e-15)
@@ -117,19 +121,13 @@ def test_euler_step_tied_start_fans_out():
 def test_euler_step_linear_flux_translates():
     c = 0.7
     flux = FluxFunction.polynomial((0.0, c))
-    cfg = config(n_particles=3, step=0.5, horizon=1.0, sigma=0.0, flux=flux)
-    state = ParticleEnsemble(0.0, np.array([0.3, -1.0, 2.0]))
-    out = euler_step(state, cfg, 0.5, make_generator(0))
-    np.testing.assert_allclose(out.positions, state.positions + c * 0.5, atol=1e-15)
-
-
-def test_euler_step_validates():
-    cfg = config()
-    state = ParticleEnsemble(0.0, np.zeros(4))
-    with pytest.raises(ConfigError):
-        euler_step(state, cfg, 0.6, make_generator(0))  # dt > step
-    with pytest.raises(ConfigError):
-        euler_step(ParticleEnsemble(0.0, np.zeros(3)), cfg, 0.5, make_generator(0))
+    start = [-1.0, 0.3, 2.0]
+    law = QuantileTable(tuple(start), (1.0 / 3.0,) * 3)
+    assert optimal_positions(law, 3).tolist() == start
+    cfg = config(n_particles=3, step=0.5, horizon=0.5, sigma=0.0, flux=flux,
+                 init=InitRule(OPTIMAL, law))
+    out = simulate(cfg)
+    np.testing.assert_allclose(out.positions, np.array(start) + c * 0.5, atol=1e-15)
 
 
 # -- full simulations --------------------------------------------------------
@@ -243,7 +241,7 @@ def test_drift_displacement_bounded():
     for _ in range(50):
         cfg = _random_config(rng)
         cfg = SimulationConfig(**{**cfg.__dict__, "sigma": 0.0})
-        bound = (cfg.flux.max_speed() + cfg.flux.lipschitz_speed / cfg.n_particles)
+        bound = (max_speed(cfg.flux) + lipschitz_speed(cfg.flux) / cfg.n_particles)
         snaps = []
         simulate(cfg, snapshot=lambda s: snaps.append(s.positions))
         for before, after in zip(snaps, snaps[1:]):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from heatkernel import HeatKernel
+from oracles import HeatKernel
 from rankflow import ConfigError, DomainError
 
 PROBES_T = (0.1, 1.0, 4.0)

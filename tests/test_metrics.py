@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import w1_cdf_form, w_rho_empirical
 from rankflow import (ConfigError, DegenerateInputWarning, GridSpec,
-                      empirical_cdf_at, phi_grid, psi_grid_free, w1_cdf_form,
-                      w_rho_empirical)
+                      empirical_cdf_at, phi_grid, psi_grid_free)
 
 
 def uniform_cdf(x):

@@ -1,15 +1,17 @@
-"""The README's command lines and flag choices agree with the CLI parser.
+"""The README's command lines, flag choices and library names agree with the code.
 
-Only parses: no example is run.
+Only parses and imports: no example is run.
 """
 
 import argparse
+import importlib
 import pathlib
 import re
 import shlex
 
 import pytest
 
+import rankflow
 import rankflow.cli as cli
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -49,3 +51,21 @@ def test_readme_flag_choices_match_parser(flag, subcommand):
     _, parsers = subcommand_parsers()
     (action,) = [a for a in parsers[subcommand]._actions if flag in a.option_strings]
     assert listed[0].split("|") == list(action.choices)
+
+
+#: every backticked ``rankflow.<module>.<name>`` of README.md
+README_NAMES = sorted(set(re.findall(r"`(rankflow\.\w+\.\w+)", README)))
+
+
+def test_readme_names_package_code():
+    assert README_NAMES
+
+
+@pytest.mark.parametrize("dotted", README_NAMES)
+def test_readme_name_resolves(dotted):
+    module, _, name = dotted.rpartition(".")
+    assert hasattr(importlib.import_module(module), name), f"README names {dotted}"
+
+
+def test_package_all_resolves():
+    assert [name for name in rankflow.__all__ if not hasattr(rankflow, name)] == []
