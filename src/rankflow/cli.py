@@ -8,7 +8,8 @@ minutes of runtime; ``--full`` switches the presets to the full-scale
 settings of the headline tables.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures, on running out of memory and on a worker process that died.
+failures, on running out of memory and on a worker process that died,
+130 on Ctrl-C (SIGINT), the shell's convention for an interrupt.
 """
 
 from __future__ import annotations
@@ -257,6 +258,9 @@ def main(argv=None) -> int:
     except BrokenProcessPool as err:
         print(f"rankflow: a worker process died: {err}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("rankflow: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

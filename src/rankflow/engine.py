@@ -46,6 +46,13 @@ MAX_STEPS = 10**9
 #: most increments drawn at once: a block holds whole steps of n values
 _DRAW_BLOCK = 2**16
 
+#: below this many particles the stable sort alone ranks faster than the
+#: SIMD sort plus its tie check.  The break-even lies between N=125 and
+#: N=150 on the positions of successive simulation steps; timing one array
+#: sorted over and over puts it near N=700 instead, because the branch
+#: predictor learns the stable sort's branches for a repeated input.
+_STABLE_BELOW = 128
+
 
 @dataclass(frozen=True)
 class InitRule:
@@ -124,17 +131,22 @@ def zero_based_ranks(positions: np.ndarray) -> np.ndarray:
     of strictly smaller particles, and tied particles get distinct
     consecutive ranks in original index order.
 
-    The order comes from numpy's default (SIMD, unstable) sort.  Without
-    ties every correct sort yields the same permutation; only when the
-    sorted values are not strictly increasing (an exact tie, which includes
-    ``-0.0`` against ``+0.0``, or a NaN) is the order redone with the
-    stable sort, so the ranks are those of the stable sort in every case.
+    Below ``_STABLE_BELOW`` values the order comes from the stable sort.
+    From there on it comes from numpy's default (SIMD, unstable) sort,
+    which is faster there.  Without ties every correct sort yields the same
+    permutation; only when the sorted values are not strictly increasing
+    (an exact tie, which includes ``-0.0`` against ``+0.0``, or a NaN) is
+    the order redone with the stable sort, so the ranks are those of the
+    stable sort in every case.
     """
     x = np.asarray(positions, dtype=float)
-    order = x.argsort()
-    xs = x[order]
-    if not (xs[:-1] < xs[1:]).all():
+    if x.size < _STABLE_BELOW:
         order = x.argsort(kind="stable")
+    else:
+        order = x.argsort()
+        xs = x[order]
+        if not (xs[:-1] < xs[1:]).all():
+            order = x.argsort(kind="stable")
     ranks = np.empty(x.size, dtype=np.intp)
     ranks[order] = np.arange(x.size)
     return ranks
@@ -175,17 +187,25 @@ def _advance(x: np.ndarray, drift: np.ndarray, sigma: float, h: float, n_full: i
     draw of at most ``_DRAW_BLOCK`` values (one row when n is larger), so
     particle i at step k still consumes position k*n + i of ``rng``'s
     stream.  The input array is never written to.
+
+    A step gives the bits of ``drift[r]*dt + x + z*(sigma*sqrt(dt))``,
+    added in that order, with the products taken once per run or per
+    block: the drift table is multiplied by ``h`` once (and by ``last`` only
+    when a partial step exists), and each block's rows are scaled by their
+    step's ``sigma*sqrt(dt)`` as soon as they are drawn.
     """
     n_steps = n_full + (last > 0.0)
     rows = max(1, _DRAW_BLOCK // x.size)
+    step_drift = drift * h
     for first in range(0, n_steps, rows):
         noise = standard_normals(rng, (min(rows, n_steps - first), x.size))
+        full = min(len(noise), n_full - first)
+        noise[:full] *= sigma * np.sqrt(h)
+        noise[full:] *= sigma * np.sqrt(last)  # the partial last step, if any
         for k, increment in enumerate(noise, first):
-            dt = h if k < n_full else last
-            # the bits of x + drift*dt + (sigma*sqrt(dt))*noise, computed in place
-            increment *= sigma * np.sqrt(dt)
-            moved = drift[zero_based_ranks(x)]
-            moved *= dt
+            if k == n_full:
+                step_drift = drift * last
+            moved = step_drift[zero_based_ranks(x)]
             moved += x
             moved += increment
             x = moved

@@ -21,6 +21,7 @@ index order, which keeps results identical for every worker count.
 from __future__ import annotations
 
 import json
+import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -136,16 +137,32 @@ def _weak_run(config: SimulationConfig, midpoints: np.ndarray, run_index: int) -
     return empirical_cdf_at(simulate(cfg).positions, midpoints)
 
 
+def _interruptible(run, run_index: int):
+    """run(run_index) in a pool worker, which takes Ctrl-C only while it runs.
+
+    An idle worker would die of the interrupt with a traceback; a running
+    one hands the interrupt back to the parent as the run's result.
+    """
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        return run(run_index)
+    finally:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def _map_runs(run, n_runs: int, threads: int) -> Iterator:
     """Stream run(0), ..., run(n_runs-1) in run-index order.
 
     With more than one thread a process pool decides where runs execute.
+    When the caller stops early (Ctrl-C, or a failed run), the runs not yet
+    started are cancelled.
     """
     if threads <= 1:
         yield from map(run, range(n_runs))
         return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(run, range(n_runs))
+    with ProcessPoolExecutor(max_workers=threads, initializer=signal.signal,
+                             initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+        yield from pool.map(partial(_interruptible, run), range(n_runs))
 
 
 def _kahan_add(total: np.ndarray, compensation: np.ndarray, term: np.ndarray) -> None:

@@ -5,9 +5,12 @@ sampling from one uniform stream per consumer, so that runs are
 reproducible bit for bit across platforms and thread counts:
 
 * uniforms are the open-interval lattice ``(j + 0.5) / 2**52`` where ``j``
-  is the top 52 bits of one 53-bit draw of ``numpy.random.Generator.random``
-  (PCG64 underneath).  The lattice never contains 0 or 1, so quantile
-  functions can be applied without guards;
+  is the top 52 bits (``next64 >> 12``) of one raw 64-bit PCG64 output.
+  ``numpy.random.Generator.random`` builds its double from the top 53 bits
+  of the same output (``(next64 >> 11) * 2**-53``), so the lattice point is
+  the top 52 bits of that double and the stream is consumed exactly as one
+  ``random`` draw per uniform would consume it.  The lattice never contains
+  0 or 1, so quantile functions can be applied without guards;
 * standard normals are ``ndtri`` (inverse normal CDF, Cephes rational
   approximation, absolute error well below 1e-9) of those uniforms;
 * child seeds are derived by hashing an integer path through
@@ -24,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-_LATTICE = 2.0**52
+#: spacing of the uniform lattice
+_ULP = 2.0**-52
 
 
 def derive_seed(*path: int) -> int:
@@ -41,9 +45,17 @@ def make_generator(seed: int) -> np.random.Generator:
 
 
 def open_uniforms(rng: np.random.Generator, size) -> np.ndarray:
-    """Uniform draws on the open interval (0, 1), lattice (j + 0.5)/2**52."""
-    u = rng.random(size)
-    return (np.floor(u * _LATTICE) + 0.5) / _LATTICE
+    """Uniform draws on the open interval (0, 1), lattice (j + 0.5)/2**52.
+
+    ``j`` is the top 52 bits of one raw PCG64 output per value, read from
+    the bit generator: one output per value, as ``rng.random(size)`` takes,
+    so both leave the stream at the same position.
+    """
+    j = rng.bit_generator.random_raw(size)
+    j >>= 12
+    u = j + 0.5
+    u *= _ULP
+    return u
 
 
 def standard_normals(rng: np.random.Generator, size) -> np.ndarray:

@@ -5,7 +5,8 @@ code lives here: the exact W1 of a placement to its initial law (with each
 law's CDF, integrated quantile and support), W_rho and the CDF form of W1
 between two samples, weak-inequality rank counts, the PDE residual of the
 exact Burgers solution, the one-based rank coefficients and the speed
-bounds of a flux, and the Gaussian heat kernel with its analytic identities.
+bounds of a flux, the Gaussian heat kernel with its analytic identities,
+and the uniform lattice built from ``Generator.random``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,18 @@ from rankflow.flux import FluxFunction, cell_average_speeds
 from rankflow.initial import DiracAtZero, Gaussian, InitialDistribution, Uniform
 
 _SQRT2 = np.sqrt(2.0)
+
+
+# -- random streams ----------------------------------------------------------
+
+def lattice_uniforms(rng: np.random.Generator, size) -> np.ndarray:
+    """The open-interval lattice ``(j + 0.5) / 2**52`` from ``rng.random``.
+
+    ``j`` is the top 52 bits of each 53-bit double.  This is the reference
+    that ``rankflow.stream.open_uniforms``, built from raw 64-bit outputs,
+    must equal bit for bit while consuming the same stream.
+    """
+    return (np.floor(rng.random(size) * 2.0**52) + 0.5) / 2.0**52
 
 
 # -- ranks -------------------------------------------------------------------

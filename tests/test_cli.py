@@ -1,8 +1,10 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -291,3 +293,28 @@ def test_cli_import_loads_no_integrate_optimize_or_sparse():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_ctrl_c_exits_130(threads):
+    # two runs of a million steps each, interrupted while they run; at three
+    # workers one worker is idle when the interrupt arrives
+    code = ("import sys, rankflow.cli; print('started', flush=True); "
+            "sys.exit(rankflow.cli.main(sys.argv[1:]))")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "strong", "--sweep", "n:2", "--runs", "2",
+         "--step", "1e-6", "--threads", threads],
+        env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        assert proc.stdout.readline() == "started\n"
+        time.sleep(1.0)
+        os.killpg(proc.pid, signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert proc.returncode == 130
+    assert stdout == ""
+    assert stderr == "rankflow: interrupted\n"

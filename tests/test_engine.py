@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
@@ -37,8 +37,10 @@ def test_rank_counts_single():
 
 
 def test_zero_based_ranks_distinct_match_counts():
-    x = make_generator(0).random(50)
-    np.testing.assert_array_equal(zero_based_ranks(x), rank_counts(x) - 1)
+    # sizes on both sides of the stable-sort cut-over
+    for n in (50, engine._STABLE_BELOW - 1, engine._STABLE_BELOW, 1000):
+        x = make_generator(n).random(n)
+        np.testing.assert_array_equal(zero_based_ranks(x), rank_counts(x) - 1)
 
 
 def test_zero_based_ranks_break_ties_by_index():
@@ -46,12 +48,17 @@ def test_zero_based_ranks_break_ties_by_index():
     np.testing.assert_array_equal(zero_based_ranks(np.array([1.0, 0.0, 1.0])), [1, 0, 2])
 
 
-#: tie-heavy samples: small integers as floats, all-equal arrays, mixed signed zeros
-TIE_HEAVY = st.one_of(
-    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=300),
-    st.builds(lambda v, n: [v] * n, st.floats(-1e6, 1e6), st.integers(1, 300)),
-    st.lists(st.sampled_from([-0.0, 0.0, 0.0, -1.0, 1.0]), min_size=1, max_size=300),
-).map(lambda values: np.array(values, dtype=float))
+def tie_heavy(sizes):
+    """Samples of a size from ``sizes`` drawn from at most six atoms.
+
+    The atoms mix small integers, signed zeros and arbitrary floats, so
+    exact ties (``-0.0`` against ``+0.0`` among them) are the rule; one atom
+    gives an all-equal sample.
+    """
+    atoms = st.lists(st.one_of(st.integers(-3, 3).map(float), st.sampled_from([-0.0, 0.0]),
+                               st.floats(-1e6, 1e6)), min_size=1, max_size=6)
+    return st.builds(lambda n, values, seed: np.random.default_rng(seed).choice(values, n),
+                     sizes, atoms.map(np.array), st.integers(0, 2**32 - 1))
 
 
 def stable_ranks(x):
@@ -60,14 +67,22 @@ def stable_ranks(x):
     return ranks
 
 
+#: sample sizes on each side of the stable-sort cut-over
+BOTH_SIDES = st.one_of(st.integers(1, engine._STABLE_BELOW - 1),
+                       st.integers(engine._STABLE_BELOW, 4 * engine._STABLE_BELOW))
+
+
 @settings(deadline=None)
-@given(TIE_HEAVY)
+@given(tie_heavy(BOTH_SIDES))
+@example(np.tile([1.0, -0.0, 0.0], engine._STABLE_BELOW))
 def test_zero_based_ranks_equal_stable_argsort_ranks(x):
+    # from the cut-over on, the SIMD sort orders tied values arbitrarily:
+    # only the tie fallback gives the stable ranks
     np.testing.assert_array_equal(zero_based_ranks(x), stable_ranks(x))
 
 
 @settings(deadline=None)
-@given(TIE_HEAVY.filter(lambda x: x.size >= 2))
+@given(tie_heavy(st.integers(2, 300)))
 def test_grid_free_estimate_of_sorted_view_is_bitwise_stable(x):
     def cdf(y):
         return BurgersSolution(np.sqrt(0.2)).cdf(1.0, y)
@@ -77,18 +92,31 @@ def test_grid_free_estimate_of_sorted_view_is_bitwise_stable(x):
     assert np.float64(unstable).tobytes() == np.float64(stable).tobytes()
 
 
-@pytest.mark.parametrize("init", [InitRule(), InitRule(IID, Gaussian(0.0, 1.0))],
-                         ids=["dirac", "iid"])
-def test_simulate_equals_chain_of_euler_steps(init):
-    # two steps per draw block: 6 full steps and a partial one span 4 blocks
+IID_GAUSS = InitRule(IID, Gaussian(0.0, 1.0))
+
+
+@pytest.mark.parametrize("init, horizon, n_full", [
+    # 6 full steps, and the partial step opens the fourth block
+    (InitRule(), 1.6, 6), (IID_GAUSS, 1.6, 6),
+    # 5 full steps, and the partial step shares the third block with a full one
+    (InitRule(), 1.4, 5), (IID_GAUSS, 1.4, 5),
+    # 6 full steps fill three blocks, and there is no partial step
+    (InitRule(), 1.5, 6), (IID_GAUSS, 1.5, 6),
+], ids=["dirac", "iid", "dirac-partial-step-ends-a-block", "iid-partial-step-ends-a-block",
+        "dirac-no-partial-step", "iid-no-partial-step"])
+def test_simulate_equals_chain_of_euler_steps(init, horizon, n_full):
+    # two steps per draw block: blocks hold steps (0, 1), (2, 3), (4, 5), (6,)
     n = engine._DRAW_BLOCK // 3 + 1
     assert engine._DRAW_BLOCK // n == 2
-    cfg = config(n_particles=n, step=0.25, horizon=1.6, sigma=0.4, init=init, seed=8)
+    cfg = config(n_particles=n, step=0.25, horizon=horizon, sigma=0.4, init=init, seed=8)
+    steps = [cfg.step] * n_full
+    last = cfg.horizon - n_full * cfg.step
+    if last > 1e-9:
+        steps.append(last)
     x = init.positions(n, make_generator(derive_seed(cfg.seed, 0)))
-    noise = standard_normals(make_generator(derive_seed(cfg.seed, 1)), (7, n))
+    noise = standard_normals(make_generator(derive_seed(cfg.seed, 1)), (len(steps), n))
     drift = cell_average_speeds(cfg.flux, n, -1)
-    for k, z in enumerate(noise):
-        dt = cfg.step if k < 6 else cfg.horizon - 6 * cfg.step
+    for dt, z in zip(steps, noise):
         # the Euler recursion, in the step kernel's order of operations
         x = drift[zero_based_ranks(x)] * dt + x + z * (cfg.sigma * np.sqrt(dt))
     assert simulate(cfg).positions.tobytes() == x.tobytes()
