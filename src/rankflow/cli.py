@@ -7,6 +7,10 @@ parameters left unspecified fall back to desk-scale presets sized for
 minutes of runtime; ``--full`` switches the presets to the full-scale
 settings of the headline tables.
 
+Each command validates its inputs, then opens its destination through
+``_output``, the one writer of every file, and only then runs: a bad flag
+touches no file, and a bad path fails before the work.
+
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 failures, on running out of memory and on a worker process that died,
 130 on Ctrl-C (SIGINT), the shell's convention for an interrupt.
@@ -15,17 +19,20 @@ failures, on running out of memory and on a worker process that died,
 from __future__ import annotations
 
 import argparse
-import csv
+import json
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+from dataclasses import asdict, astuple
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from . import harness
 from .engine import (FRACTIONAL_RANK, IID, OPTIMAL, RANK_COEFFICIENT, InitRule,
                      SimulationConfig, simulate)
-from .errors import ConfigError, EmitError, NumericalError, RankflowError
+from .errors import ConfigError, NumericalError
 from .exact import BurgersSolution
 from .flux import parse_flux
 from .initial import parse_distribution
@@ -101,8 +108,16 @@ def _add_study_flags(parser: argparse.ArgumentParser) -> None:
     _add_model_flags(parser)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one stderr line (no usage text, newlines escaped), exit 2."""
+
+    def error(self, message):
+        message = message.replace("\n", "\\n")
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rankflow",
         description="Rank-based particle approximation of 1-D viscous conservation laws",
     )
@@ -152,39 +167,71 @@ def _config(args, particles: int, step: float) -> SimulationConfig:
     )
 
 
-def _cmd_simulate(args) -> int:
-    final = simulate(_config(args, args.particles, args.step))
-    if args.emit_positions:
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[Callable[[Iterable[str]], None]]:
+    """Open a command's destination, then yield ``write(lines)`` for it.
+
+    ``None`` or ``-`` is stdout; any other string, the empty one included,
+    is a path, whose file is replaced when it opens.  Lines are streamed as
+    ASCII, each ended by ``\\n``.  An OSError of the open, a write or the
+    close, not of the caller's work, is a ConfigError naming the path.
+    """
+    where = "stdout" if path in (None, "-") else repr(path)
+
+    def guarded(action, *args):
         try:
-            with open(args.emit_positions, "w", newline="", encoding="ascii") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["index", "position"])
-                for i, value in enumerate(final.positions):
-                    writer.writerow([i, f"{value:.17g}"])
+            return action(*args)
         except OSError as err:
-            raise EmitError(f"cannot write positions to {args.emit_positions}: {err}") from err
+            raise ConfigError(f"cannot write {where}: {err.strerror or err}") from None
+
+    handle = sys.stdout if where == "stdout" else guarded(
+        lambda: open(path, "w", encoding="ascii", newline="\n"))
+    try:
+        yield lambda lines: guarded(handle.writelines, (line + "\n" for line in lines))
+    finally:
+        guarded(handle.flush if handle is sys.stdout else handle.close)
+
+
+def _table_lines(table: harness.ErrorTable, fmt: str) -> Iterator[str]:
+    """A study table as CSV or JSON lines, every number to 8 significant
+    digits; the first row's ratio is empty (CSV) or null (JSON)."""
+    if fmt == "csv":
+        yield "parameter,estimation,precision,ratio"
+        for row in table.rows:
+            yield ",".join("" if value is None else f"{value:.8g}" for value in astuple(row))
+    else:
+        rows = [{name: None if value is None else float(f"{value:.8g}")
+                 for name, value in asdict(row).items()} for row in table.rows]
+        yield from json.dumps(rows, indent=2).splitlines()
+
+
+def _cmd_simulate(args) -> int:
+    config = _config(args, args.particles, args.step)
+    if args.emit_positions is None:
+        final = simulate(config)
+    else:
+        with _output(args.emit_positions) as write:
+            final = simulate(config)
+            write(["index,position"])
+            write(f"{i},{value:.17g}" for i, value in enumerate(final.positions))
     pos = final.positions
     print(f"final time {final.time:g}: {pos.size} particles, "
-          f"mean {pos.mean():.6g}, min {pos.min():.6g}, max {pos.max():.6g}")
+          f"mean {pos.mean():.6g}, min {pos.min():.6g}, max {pos.max():.6g}",
+          file=sys.stderr if args.emit_positions == "-" else sys.stdout)
     return 0
 
 
 def _cmd_exact(args) -> int:
     if args.grid < 2:
         raise ConfigError("--grid must be >= 2")
+    if not 0.0 < args.horizon < np.inf:
+        raise ConfigError("--horizon must be finite and > 0")
     solution = BurgersSolution(_sigma(args))
-    levels = np.arange(1, args.grid) / args.grid
-    quantiles = solution.quantile(args.horizon, levels)
-    lines = ["u,quantile"] + [f"{u:.8g},{q:.8g}" for u, q in zip(levels, quantiles)]
-    text = "\n".join(lines) + "\n"
-    if args.out and args.out != "-":
-        try:
-            with open(args.out, "w", encoding="ascii") as handle:
-                handle.write(text)
-        except OSError as err:
-            raise EmitError(f"cannot write quantiles to {args.out}: {err}") from err
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as write:
+        levels = np.arange(1, args.grid) / args.grid
+        quantiles = solution.quantile(args.horizon, levels)
+        write(["u,quantile"])
+        write(f"{u:.8g},{q:.8g}" for u, q in zip(levels, quantiles))
     return 0
 
 
@@ -226,12 +273,14 @@ def _cmd_study(kind: str, args) -> int:
             batches = args.batches
         elif runs == preset["runs"]:
             batches = preset["batches"]
-        else:
-            batches = min(100, max(2, runs // 10))
+        else:  # the least divisor of runs from min(100, max(2, runs // 10)) on
+            least = min(100, max(2, runs // 10))
+            batches = next((b for b in range(least, runs) if runs % b == 0), runs)
         spec = harness.StudySpec(kind, base, sweep, values, runs, batches=batches,
                                  grid_k=args.grid, paired_seeds=args.paired_seeds)
-    table = harness.run_study(spec, threads=_threads(args))
-    harness.emit(table, args.format, args.out)
+    threads = _threads(args)
+    with _output(args.out) as write:
+        write(_table_lines(harness.run_study(spec, threads=threads), args.format))
     return 0
 
 
@@ -246,12 +295,9 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"rankflow: numerical failure: {err}", file=sys.stderr)
         return 3
-    except (ConfigError, EmitError) as err:
+    except ConfigError as err:
         print(f"rankflow: {err}", file=sys.stderr)
         return 2
-    except RankflowError as err:
-        print(f"rankflow: {err}", file=sys.stderr)
-        return 3
     except MemoryError as err:
         print(f"rankflow: out of memory: {err}", file=sys.stderr)
         return 3

@@ -3,7 +3,7 @@
 ConfigError covers anything a caller got wrong (bad parameters, impossible
 study setups); NumericalError covers runtime failures of the numerics
 (root brackets that cannot be established). The CLI maps them to exit
-codes 2 and 3 respectively.
+codes 2 and 3, and reports a path it cannot write as a ConfigError.
 """
 
 
@@ -29,10 +29,6 @@ class NumericalError(RankflowError, RuntimeError):
 
 class BracketError(NumericalError):
     """A root bracket could not be established."""
-
-
-class EmitError(RankflowError, OSError):
-    """Writing a result table to its destination failed."""
 
 
 class DegenerateInputWarning(UserWarning):

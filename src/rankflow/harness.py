@@ -15,24 +15,22 @@ Runs are independent: run r of sweep row j uses the seed derived from
 (base_seed, j, r), so tables are reproducible bit for bit; with paired
 seeds the row index is dropped and all rows share their Brownian noise.
 Workers may execute in a process pool, but reduction always happens in run
-index order, which keeps results identical for every worker count.
+index order, which keeps results identical for every worker count.  The
+harness writes nothing: ``rankflow.cli`` formats and writes every table.
 """
 
 from __future__ import annotations
 
-import json
 import signal
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .engine import SimulationConfig, simulate, sorted_view
-from .errors import ConfigError, EmitError, NumericalError, UnsupportedReferenceError
+from .errors import ConfigError, NumericalError, UnsupportedReferenceError
 from .exact import BurgersSolution
 from .flux import BURGERS
 from .metrics import GridSpec, empirical_cdf_at, phi_grid, psi_grid_free
@@ -65,6 +63,7 @@ class StudySpec:
 
     ``base`` carries the horizon, diffusion, flux, scheme, initialization
     and base seed; the swept field of ``base`` is overridden row by row.
+    Its flux must have an exact reference solution.
     """
 
     kind: str
@@ -95,6 +94,7 @@ class StudySpec:
                 raise ConfigError("batches must divide runs")
             if self.grid_k < 2:
                 raise ConfigError("need at least 2 grid cells")
+        get_reference(self.base)
 
 
 @dataclass(frozen=True)
@@ -250,49 +250,3 @@ def run_study(spec: StudySpec, *, threads: int = 1) -> ErrorTable:
         points.append((float(value), estimation, precision))
     return ErrorTable.from_points(points)
 
-
-# -- output ------------------------------------------------------------------
-
-def _sig8(value: float) -> float:
-    return float(f"{value:.8g}")
-
-
-def _write_table(table: ErrorTable, fmt: str, handle: IO[str]) -> None:
-    if fmt == "csv":
-        handle.write("parameter,estimation,precision,ratio\n")
-        for row in table.rows:
-            ratio = "" if row.ratio is None else f"{row.ratio:.8g}"
-            handle.write(
-                f"{row.parameter:.8g},{row.estimation:.8g},{row.precision:.8g},{ratio}\n")
-    elif fmt == "json":
-        payload = [
-            {
-                "parameter": _sig8(row.parameter),
-                "estimation": _sig8(row.estimation),
-                "precision": _sig8(row.precision),
-                "ratio": None if row.ratio is None else _sig8(row.ratio),
-            }
-            for row in table.rows
-        ]
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    else:
-        raise ConfigError(f"unknown output format {fmt!r} (want csv|json)")
-
-
-def emit(table: ErrorTable, fmt: str = "csv", destination=None) -> None:
-    """Write the table as CSV or JSON to a path, or to stdout when None/'-'.
-
-    Numbers are printed with 8 significant digits, plain decimal point, no
-    thousands separators; the first row's ratio cell is empty (CSV) or null
-    (JSON).
-    """
-    if destination is None or destination == "-":
-        _write_table(table, fmt, sys.stdout)
-        return
-    path = Path(destination)
-    try:
-        with path.open("w", encoding="ascii") as handle:
-            _write_table(table, fmt, handle)
-    except OSError as err:
-        raise EmitError(f"cannot write table to {path}: {err}") from err

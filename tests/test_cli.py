@@ -1,13 +1,20 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankflow
 import rankflow.cli as cli
@@ -30,6 +37,7 @@ def test_simulate_writes_positions_csv(tmp_path, capsys):
     code = run_cli(["simulate", "--particles", "4", "--step", "0.5", "--horizon", "1",
                     "--sigma2", "0.04", "--seed", "3", "--emit-positions", str(out)])
     assert code == 0
+    assert b"\r" not in out.read_bytes()  # LF line ends, as every output has
     with out.open() as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["index", "position"]
@@ -181,12 +189,23 @@ def test_batches_must_divide_runs():
                     "--step", "0.5"]) == 2
 
 
-def test_weak_custom_runs_get_default_batches(tmp_path):
-    # no --batches with non-preset runs: min(100, runs/10) batches
+def test_weak_custom_runs_get_default_batches(tmp_path, monkeypatch):
+    # no --batches with non-preset runs: the smallest divisor of runs from
+    # min(100, max(2, runs // 10)) on
+    batches = []
+    point = cli.harness.weak_error_point
+
+    def counted(config, runs, b, grid, *, threads):
+        batches.append(b)
+        return point(config, runs, b, grid, threads=threads)
+
+    monkeypatch.setattr(cli.harness, "weak_error_point", counted)
     out = tmp_path / "w.csv"
-    assert run_cli(["weak", "--sweep", "n:8", "--runs", "30", "--grid", "30",
-                    "--step", "0.5", "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 2
+    for runs, expected in [(30, 3), (25, 5), (3, 3)]:
+        assert run_cli(["weak", "--sweep", "n:8", "--runs", str(runs), "--grid", "30",
+                        "--step", "0.5", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+        assert batches.pop() == expected
 
 
 def test_numerical_failure_exit_code(monkeypatch):
@@ -210,6 +229,80 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
                     "--seed", "2", "--out", str(out)]) == 0
     monkeypatch.setenv("RANKFLOW_THREADS", "junk")
     assert run_cli(["strong", "--sweep", "n:4", "--runs", "3", "--step", "0.5"]) == 2
+
+
+#: a tiny run of each command that writes a file, and the flag naming the file
+WRITERS = {
+    "strong": (["strong", "--sweep", "n:4", "--runs", "2", "--step", "0.5"], "--out"),
+    "weak": (["weak", "--sweep", "n:4", "--runs", "2", "--grid", "8", "--step", "0.5"],
+             "--out"),
+    "exact": (["exact", "--grid", "4"], "--out"),
+    "simulate": (["simulate", "--particles", "3", "--step", "0.5"], "--emit-positions"),
+}
+
+
+@pytest.mark.parametrize("destination", ["file", "-", "", "/nonexistent-dir/x"])
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_one_destination_rule(tmp_path, capsys, monkeypatch, command, destination):
+    monkeypatch.chdir(tmp_path)
+    args, flag = WRITERS[command]
+    target = "out.csv" if destination == "file" else destination
+    code = run_cli(args + [flag, target])
+    out, err = capsys.readouterr()
+    if destination in ("", "/nonexistent-dir/x"):
+        assert code == 2
+        assert out == ""
+        assert err == f"rankflow: cannot write {target!r}: No such file or directory\n"
+        return
+    assert code == 0
+    assert run_cli(args + [flag, "-"]) == 0
+    piped, piped_err = capsys.readouterr()
+    # "-" sends the output to stdout, and the simulate summary to stderr
+    summary = piped_err if command == "simulate" else ""
+    assert piped.splitlines()[0] in ("parameter,estimation,precision,ratio",
+                                     "u,quantile", "index,position")
+    assert "\r" not in piped
+    if destination == "-":
+        assert (out, err) == (piped, summary)
+        assert os.listdir(tmp_path) == []
+    else:
+        assert (tmp_path / target).read_bytes() == piped.encode("ascii")
+        assert (out, err) == (summary, "")
+    if command == "simulate":
+        assert summary.startswith("final time 1: 3 particles") and summary.count("\n") == 1
+    else:
+        assert run_cli(args) == 0  # no flag: stdout too
+        assert capsys.readouterr() == (piped, "")
+
+
+def test_unwritable_out_fails_before_any_run(monkeypatch, capsys):
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return simulate(config)
+
+    monkeypatch.setattr(cli.harness, "simulate", counted)
+    assert run_cli(["strong", "--sweep", "n:4,8", "--runs", "3", "--step", "0.5",
+                    "--out", "/nonexistent-dir/x.csv"]) == 2
+    assert calls == []
+    assert "/nonexistent-dir/x.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["strong", "--sweep", "n:4", "--runs", "1", "--step", "0.5", "--out"],
+    ["strong", "--sweep", "n:4", "--runs", "2", "--flux", "quadratic", "--out"],
+    ["weak", "--sweep", "n:4", "--runs", "4", "--batches", "3", "--out"],
+    ["strong", "--sweep", "n:4", "--runs", "2", "--threads", "0", "--out"],
+    ["exact", "--horizon", "inf", "--out"],
+    ["exact", "--grid", "1", "--out"],
+    ["simulate", "--particles", "0", "--step", "0.5", "--emit-positions"],
+], ids=["runs", "no-reference", "batches", "threads", "horizon", "grid", "particles"])
+def test_bad_flag_touches_no_file(tmp_path, args):
+    out = tmp_path / "kept.csv"
+    out.write_text("kept\n")
+    assert run_cli(args + [str(out)]) == 2
+    assert out.read_text() == "kept\n"
 
 
 def test_simulate_unwritable_positions_path():
@@ -318,3 +411,108 @@ def test_ctrl_c_exits_130(threads):
     assert proc.returncode == 130
     assert stdout == ""
     assert stderr == "rankflow: interrupted\n"
+
+
+# -- exit-code fuzz ---------------------------------------------------------------
+#
+# Any argv ends in exit 0, 2 or 3 with at most one line on stderr, no
+# traceback and no warning.  Sizes are tiny (N <= 8, at most 50 Euler steps
+# per run unless a bare h-sweep's preset asks for more, runs <= 6) so that a
+# few hundred command lines run in seconds; every value list mixes valid
+# choices with malformed ones.
+
+MALFORMED = ("", "x", "nan", "inf", "-inf", "-1", "0", "1e400", "1,2", "a\nb")
+FILE = object()  # stands for a writable path in a fresh directory
+
+
+def values(*valid):
+    """Seven times in eight a valid value, else a malformed one."""
+    return st.sampled_from([valid] * 7 + [MALFORMED]).flatmap(st.sampled_from)
+
+
+def optional(flag, strategy):
+    return st.one_of(st.just([]), strategy.map(lambda value: [flag, value]))
+
+
+DESTINATIONS = st.sampled_from([FILE, "-", "", "/nonexistent-dir/x"])
+
+
+@st.composite
+def model_flags(draw):
+    flags = []
+    for flag, strategy in [
+        ("--horizon", values("1", "0.5")),
+        ("--sigma2", values("0.2", "1e-9", "1e9")),
+        ("--flux", values("burgers", "quadratic", "poly:-0.5,1,-0.5", "poly:0,0,0.5",
+                          "poly:", "poly:nan", "poly:1,x")),
+        ("--scheme", values("rank", "frac")),
+        ("--init", values("optimal", "iid", "dirac")),
+        ("--dist", values("dirac0", "uniform:0,1", "uniform:1,0", "uniform:-inf,0",
+                          "gauss:0,1", "gauss:0,0", "gauss:a,b", "cauchy:0,1")),
+        ("--seed", values("7", "18446744073709551615", "18446744073709551616")),
+    ]:
+        flags += draw(optional(flag, strategy))
+    return flags
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["simulate", "exact", "strong", "weak"]))
+    particles = values("1", "2", "3", "8")
+    step = values("0.5", "0.25", "0.1", "0.02", "2")
+    if command == "exact":
+        argv = ["exact"]
+        for flag, strategy in [("--grid", values("2", "5", "40")),
+                               ("--horizon", values("1", "0.5")),
+                               ("--sigma2", values("0.2", "1e-9", "1e9"))]:
+            argv += draw(optional(flag, strategy))
+        return argv + draw(optional("--out", DESTINATIONS))
+    if command == "simulate":
+        argv = ["simulate", "--particles", draw(particles), "--step", draw(step)]
+        return (argv + draw(model_flags())
+                + draw(optional("--emit-positions", DESTINATIONS)))
+    sweep = draw(values("n:2,8", "n:4", "n:1,2", "h:0.5,0.25", "h:0.02", "h", "h:",
+                        "h:0.5,-1", "n:4,1.5", "q:1", ":"))
+    argv = [command, "--sweep", sweep, "--particles", draw(particles), "--step", draw(step),
+            "--runs", draw(values("2", "3", "4", "6"))]
+    argv += draw(optional("--threads", values("1", "2")))
+    if command == "weak":
+        argv += draw(optional("--batches", values("2", "3")))
+        argv += draw(optional("--grid", values("2", "5", "40")))
+    for flag in ("--full", "--paired-seeds"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    argv += draw(optional("--format", st.sampled_from(["csv", "json", "xml"])))
+    return argv + draw(model_flags()) + draw(optional("--out", DESTINATIONS))
+
+
+@st.composite
+def argvs(draw):
+    """A command line, now and then with one stray argument somewhere."""
+    argv = draw(command_lines())
+    if draw(st.sampled_from([False] * 9 + [True])):
+        stray = draw(st.sampled_from(MALFORMED + ("--nope",)))
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+@settings(deadline=None, max_examples=300)
+@given(argvs())
+def test_any_argv_exits_cleanly(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as scratch, \
+            mock.patch.dict(os.environ) as environ, \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        environ.pop("RANKFLOW_THREADS", None)
+        warnings.simplefilter("always")
+        argv = [os.path.join(scratch, "out") if a is FILE else a for a in argv]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    err = stderr.getvalue()
+    assert code in (0, 2, 3), (argv, code, err)
+    assert err.count("\n") <= 1 and (err == "" or err.endswith("\n")), (argv, err)
+    assert "Traceback" not in err
+    assert [str(w.message) for w in caught] == [], argv

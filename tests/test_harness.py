@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import rankflow.cli as cli
 import rankflow.harness as harness
-from rankflow import (BurgersSolution, ConfigError, EmitError, ErrorTable,
-                      FluxFunction, GridSpec, NumericalError, SimulationConfig,
-                      StudySpec, UnsupportedReferenceError, emit, run_study,
-                      strong_error_point, weak_error_point)
+from rankflow import (BurgersSolution, ConfigError, ErrorTable, FluxFunction, GridSpec,
+                      NumericalError, SimulationConfig, StudySpec,
+                      UnsupportedReferenceError, run_study, strong_error_point,
+                      weak_error_point)
 from rankflow.metrics import psi_grid_free
 from rankflow.stream import derive_seed, make_generator, standard_normals
 
@@ -161,6 +162,8 @@ def test_study_spec_validation():
         StudySpec("weak", cfg, "n", (4,), 5, batches=2)  # 2 does not divide 5
     with pytest.raises(ConfigError):
         StudySpec("weak", cfg, "n", (4,), 4, batches=None)
+    with pytest.raises(UnsupportedReferenceError):
+        StudySpec("strong", burgers_config(flux=FluxFunction.quadratic()), "n", (4,), 3)
 
 
 # -- statistical sanity of the confidence interval -------------------------------
@@ -195,7 +198,7 @@ def test_interval_covers_known_model(monkeypatch):
     assert covered >= 90
 
 
-# -- emit -------------------------------------------------------------------------
+# -- table output (written by the CLI) --------------------------------------------
 
 @pytest.fixture
 def table():
@@ -203,10 +206,8 @@ def table():
                                    (1000.0, 0.0159825333, 0.0013318111)])
 
 
-def test_emit_csv_format(tmp_path, table):
-    path = tmp_path / "out.csv"
-    emit(table, "csv", path)
-    lines = path.read_text().splitlines()
+def test_emit_csv_format(table):
+    lines = list(cli._table_lines(table, "csv"))
     assert lines[0] == "parameter,estimation,precision,ratio"
     assert lines[1] == "250,0.033123611,0.0029044222,"
     first = lines[2].split(",")
@@ -214,10 +215,8 @@ def test_emit_csv_format(tmp_path, table):
     assert float(first[3]) == pytest.approx(0.0331236111 / 0.0159825333, rel=1e-7)
 
 
-def test_emit_json_round_trip(tmp_path, table):
-    path = tmp_path / "out.json"
-    emit(table, "json", path)
-    rows = json.loads(path.read_text())
+def test_emit_json_round_trip(table):
+    rows = json.loads("\n".join(cli._table_lines(table, "json")))
     assert rows[0]["ratio"] is None
     for row, original in zip(rows, table.rows):
         assert row["parameter"] == float(f"{original.parameter:.8g}")
@@ -226,22 +225,31 @@ def test_emit_json_round_trip(tmp_path, table):
     assert rows[1]["ratio"] == float(f"{table.rows[1].ratio:.8g}")
 
 
-def test_emit_stdout(capsys, table):
-    emit(table, "csv", None)
-    out = capsys.readouterr().out
-    assert out.startswith("parameter,estimation,precision,ratio\n")
-    assert len(out.splitlines()) == 3
+def test_emit_stdout(tmp_path, capsys, monkeypatch, table):
+    # without --out a study table goes to stdout, with the bytes it has in a file
+    monkeypatch.setattr(cli.harness, "run_study", lambda spec, threads: table)
+    for fmt in ("csv", "json"):
+        args = ["strong", "--sweep", "n:4", "--runs", "2", "--step", "0.5", "--format", fmt]
+        assert cli.main(args) == 0
+        out = capsys.readouterr().out
+        assert out == "\n".join(cli._table_lines(table, fmt)) + "\n"
+        assert cli.main(args + ["--out", str(tmp_path / fmt)]) == 0
+        assert (tmp_path / fmt).read_bytes() == out.encode("ascii")
 
 
-def test_emit_unwritable_destination_names_path(table):
+def test_emit_unwritable_destination_names_path(capsys):
     target = "/nonexistent-dir/sub/out.csv"
-    with pytest.raises(EmitError, match="nonexistent-dir"):
-        emit(table, "csv", target)
+    assert cli.main(["strong", "--sweep", "n:4", "--runs", "2", "--step", "0.5",
+                     "--out", target]) == 2
+    assert capsys.readouterr().err == (
+        f"rankflow: cannot write {target!r}: No such file or directory\n")
 
 
-def test_emit_unknown_format(table):
-    with pytest.raises(ConfigError):
-        emit(table, "xml", None)
+def test_emit_unknown_format(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["strong", "--sweep", "n:4", "--runs", "2", "--format", "xml"])
+    assert info.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
 
 
 def test_numerical_error_tagged_with_sweep_value(monkeypatch):
