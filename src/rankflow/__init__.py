@@ -12,8 +12,8 @@ from .errors import (BracketError, ConfigError, DegenerateInputWarning, DomainEr
                      NumericalError, RankflowError, UnsupportedReferenceError)
 from .exact import BurgersSolution
 from .flux import FluxFunction, parse_flux
-from .harness import (STRONG, SWEEP_H, SWEEP_N, WEAK, ErrorTable, StudyRow,
-                      StudySpec, run_study, strong_error_point, weak_error_point)
+from .harness import (STRONG, SWEEP_H, SWEEP_N, WEAK, StudyRow, StudySpec, run_study,
+                      strong_error_point, weak_error_point)
 from .initial import (DiracAtZero, Gaussian, InitialDistribution, Uniform,
                       iid_positions, optimal_positions, parse_distribution)
 from .metrics import GridSpec, empirical_cdf_at, phi_grid, psi_grid_free
@@ -22,13 +22,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BracketError", "BurgersSolution", "ConfigError", "DegenerateInputWarning",
-    "DiracAtZero", "DomainError", "ErrorTable", "FluxFunction",
-    "FRACTIONAL_RANK", "Gaussian", "GridSpec", "IID", "InitRule",
-    "InitialDistribution", "NumericalError", "OPTIMAL", "ParticleEnsemble",
-    "RANK_COEFFICIENT", "RankflowError",
-    "STRONG", "SWEEP_H", "SWEEP_N", "SimulationConfig", "StudyRow", "StudySpec",
-    "Uniform", "UnsupportedReferenceError", "WEAK", "empirical_cdf_at",
-    "iid_positions", "optimal_positions", "parse_distribution", "parse_flux",
-    "phi_grid", "psi_grid_free", "run_study", "simulate", "sorted_view",
-    "strong_error_point", "weak_error_point",
+    "DiracAtZero", "DomainError", "FluxFunction", "FRACTIONAL_RANK", "Gaussian",
+    "GridSpec", "IID", "InitRule", "InitialDistribution", "NumericalError", "OPTIMAL",
+    "ParticleEnsemble", "RANK_COEFFICIENT", "RankflowError", "STRONG", "SWEEP_H",
+    "SWEEP_N", "SimulationConfig", "StudyRow", "StudySpec", "Uniform",
+    "UnsupportedReferenceError", "WEAK", "empirical_cdf_at", "iid_positions",
+    "optimal_positions", "parse_distribution", "parse_flux", "phi_grid",
+    "psi_grid_free", "run_study", "simulate", "sorted_view", "strong_error_point",
+    "weak_error_point",
 ]

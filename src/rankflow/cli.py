@@ -9,11 +9,14 @@ settings of the headline tables.
 
 Each command validates its inputs, then opens its destination through
 ``_output``, the one writer of every file, and only then runs: a bad flag
-touches no file, and a bad path fails before the work.
+touches no file, and a bad path fails before the work.  For a study the
+inputs are the whole ``harness.StudySpec``: every sweep row's config and
+the weak reference grid.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures, on running out of memory and on a worker process that died,
-130 on Ctrl-C (SIGINT), the shell's convention for an interrupt.
+failures (a run whose positions overflow among them), on running out of
+memory and on a worker process that died, 130 on Ctrl-C (SIGINT), the
+shell's convention for an interrupt.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_study_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sweep", required=True,
-                        help="n[:v1,v2,...] or h[:v1,v2,...]; bare n/h uses the preset values")
+                        help="n:v1,v2,... or h:v1,v2,...; a bare n or h uses the preset values")
     parser.add_argument("--particles", type=int, help="fixed N for an h-sweep")
     parser.add_argument("--step", type=float, help="fixed h for an n-sweep")
     parser.add_argument("--runs", type=int, help="number of Monte-Carlo runs R")
@@ -109,7 +112,15 @@ def _add_study_flags(parser: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error is one stderr line (no usage text, newlines escaped), exit 2."""
+    """A usage error is one stderr line (no usage text, newlines escaped), exit 2.
+    Any number ``float`` reads (``-1e-3``, ``-inf``) is a value, never a flag."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
     def error(self, message):
         message = message.replace("\n", "\\n")
@@ -192,16 +203,16 @@ def _output(path: Optional[str]) -> Iterator[Callable[[Iterable[str]], None]]:
         guarded(handle.flush if handle is sys.stdout else handle.close)
 
 
-def _table_lines(table: harness.ErrorTable, fmt: str) -> Iterator[str]:
+def _table_lines(table: tuple[harness.StudyRow, ...], fmt: str) -> Iterator[str]:
     """A study table as CSV or JSON lines, every number to 8 significant
     digits; the first row's ratio is empty (CSV) or null (JSON)."""
     if fmt == "csv":
         yield "parameter,estimation,precision,ratio"
-        for row in table.rows:
+        for row in table:
             yield ",".join("" if value is None else f"{value:.8g}" for value in astuple(row))
     else:
         rows = [{name: None if value is None else float(f"{value:.8g}")
-                 for name, value in asdict(row).items()} for row in table.rows]
+                 for name, value in asdict(row).items()} for row in table]
         yield from json.dumps(rows, indent=2).splitlines()
 
 
@@ -216,7 +227,7 @@ def _cmd_simulate(args) -> int:
             write(f"{i},{value:.17g}" for i, value in enumerate(final.positions))
     pos = final.positions
     print(f"final time {final.time:g}: {pos.size} particles, "
-          f"mean {pos.mean():.6g}, min {pos.min():.6g}, max {pos.max():.6g}",
+          f"mean {(pos / pos.size).sum():.6g}, min {pos.min():.6g}, max {pos.max():.6g}",
           file=sys.stderr if args.emit_positions == "-" else sys.stdout)
     return 0
 
@@ -237,14 +248,13 @@ def _cmd_exact(args) -> int:
 
 def _parse_sweep(text: str) -> tuple[str, tuple | None]:
     """Sweep name and values of ``n[:v1,...]`` / ``h[:v1,...]``; None when bare."""
-    name, _, raw = text.partition(":")
+    name, colon, raw = text.partition(":")
     if name not in ("n", "h"):
         raise ConfigError(f"bad sweep spec {text!r} (want n:... or h:...)")
-    if not raw:
+    if not colon:
         return name, None
     try:
-        values = tuple(int(v) for v in raw.split(",")) if name == "n" else \
-            tuple(float(v) for v in raw.split(","))
+        values = tuple(map(int if name == "n" else float, raw.split(",")))
     except ValueError as err:
         raise ConfigError(f"bad sweep values in {text!r}") from err
     return name, values
@@ -253,22 +263,16 @@ def _parse_sweep(text: str) -> tuple[str, tuple | None]:
 def _cmd_study(kind: str, args) -> int:
     sweep, values = _parse_sweep(args.sweep)
     preset = _PRESETS[(kind, sweep)]["full" if args.full else "desk"]
-    if values is None:
-        values = preset["values"]
-
+    # the swept field of the base is a placeholder: every row sets its own
     if sweep == "n":
-        step = args.step if args.step is not None else preset["step"]
-        particles = int(max(values))  # overridden row by row
+        particles, step = 1, args.step if args.step is not None else preset["step"]
     else:
-        step = float(min(values))  # overridden row by row
         particles = args.particles if args.particles is not None else preset["particles"]
+        step = args.horizon
     runs = args.runs if args.runs is not None else preset["runs"]
 
-    base = _config(args, particles, step)
-    if kind == harness.STRONG:
-        spec = harness.StudySpec(kind, base, sweep, values, runs,
-                                 paired_seeds=args.paired_seeds)
-    else:
+    weak = {}
+    if kind == harness.WEAK:
         if args.batches is not None:
             batches = args.batches
         elif runs == preset["runs"]:
@@ -276,8 +280,10 @@ def _cmd_study(kind: str, args) -> int:
         else:  # the least divisor of runs from min(100, max(2, runs // 10)) on
             least = min(100, max(2, runs // 10))
             batches = next((b for b in range(least, runs) if runs % b == 0), runs)
-        spec = harness.StudySpec(kind, base, sweep, values, runs, batches=batches,
-                                 grid_k=args.grid, paired_seeds=args.paired_seeds)
+        weak = dict(batches=batches, grid_k=args.grid)
+    spec = harness.StudySpec(kind, _config(args, particles, step), sweep,
+                             preset["values"] if values is None else values, runs,
+                             paired_seeds=args.paired_seeds, **weak)
     threads = _threads(args)
     with _output(args.out) as write:
         write(_table_lines(harness.run_study(spec, threads=threads), args.format))

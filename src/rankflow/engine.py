@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .flux import FluxFunction, cell_average_speeds
 from .initial import DiracAtZero, InitialDistribution, iid_positions, optimal_positions
 from .stream import derive_seed, make_generator, standard_normals
@@ -223,7 +223,8 @@ def simulate(config: SimulationConfig,
     layout).  When ``snapshot`` is given it receives the ensemble at time 0
     and after every step; by default no trajectory is stored.
 
-    Returns the final ensemble at the horizon.
+    Returns the final ensemble at the horizon.  Overflow does not warn; a
+    non-finite final position raises NumericalError.
     """
     n, h, horizon = config.n_particles, config.step, config.horizon
     init_rng = make_generator(derive_seed(config.seed, 0))
@@ -238,8 +239,11 @@ def simulate(config: SimulationConfig,
     if remainder < _STEP_SLACK * h:
         remainder = 0.0
 
-    steps = _advance(x, _drift_table(config), config.sigma, h, n_full, remainder, steps_rng)
-    for k, x in enumerate(steps, 1):
-        if snapshot is not None:
-            snapshot(ParticleEnsemble(k * h if k <= n_full else horizon, x.copy()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = _advance(x, _drift_table(config), config.sigma, h, n_full, remainder, steps_rng)
+        for k, x in enumerate(steps, 1):
+            if snapshot is not None:
+                snapshot(ParticleEnsemble(k * h if k <= n_full else horizon, x.copy()))
+    if not np.isfinite(x).all():
+        raise NumericalError("positions overflowed: not every final position is finite")
     return ParticleEnsemble(horizon, x)

@@ -11,21 +11,23 @@ measure against the exact Burgers solution:
   of the mean, so the variance is estimated on B batches of R/B runs, per
   the delta method).
 
-Runs are independent: run r of sweep row j uses the seed derived from
-(base_seed, j, r), so tables are reproducible bit for bit; with paired
-seeds the row index is dropped and all rows share their Brownian noise.
-Workers may execute in a process pool, but reduction always happens in run
-index order, which keeps results identical for every worker count.  The
-harness writes nothing: ``rankflow.cli`` formats and writes every table.
+A ``StudySpec`` builds and checks every row's run config, and the weak
+reference grid, before any run; ``run_study`` only runs them.  Runs are
+independent: run r of sweep row j uses the seed derived from (base_seed,
+j, r), so tables are reproducible bit for bit; with paired seeds the row
+index is dropped and all rows share their Brownian noise.  Workers may
+execute in a process pool, but reduction always happens in run index
+order, which keeps results identical for every worker count.  The harness
+writes nothing: ``rankflow.cli`` formats and writes every table.
 """
 
 from __future__ import annotations
 
 import signal
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -59,11 +61,12 @@ def get_reference(config: SimulationConfig):
 
 @dataclass(frozen=True)
 class StudySpec:
-    """One convergence table: estimator kind, sweep, and Monte-Carlo sizes.
+    """One convergence table, checked whole before it runs.
 
-    ``base`` carries the horizon, diffusion, flux, scheme, initialization
-    and base seed; the swept field of ``base`` is overridden row by row.
-    Its flux must have an exact reference solution.
+    ``base`` carries the horizon, diffusion, flux (with an exact reference),
+    scheme, initialization and base seed.  Derived: ``configs[j]`` is ``base``
+    with the swept field set to row j's value and seed ``derive_seed(base.seed,
+    j)`` (``base.seed`` when paired); ``grid`` is the weak reference grid.
     """
 
     kind: str
@@ -74,6 +77,8 @@ class StudySpec:
     batches: Optional[int] = None
     grid_k: int = 5000
     paired_seeds: bool = False
+    configs: tuple[SimulationConfig, ...] = field(init=False, compare=False)
+    grid: Optional[GridSpec] = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.kind not in (STRONG, WEAK):
@@ -84,17 +89,29 @@ class StudySpec:
             raise ConfigError("sweep needs at least one value")
         if self.runs < 2:
             raise ConfigError("need at least 2 runs")
-        sizes = self.values if self.sweep == SWEEP_N else (self.base.n_particles,)
-        if self.kind == STRONG and min(sizes) < 2:
-            raise ConfigError("strong study needs at least 2 particles in every row")
+        reference = get_reference(self.base)
         if self.kind == WEAK:
             if self.batches is None or self.batches < 2:
                 raise ConfigError("weak study needs at least 2 batches")
             if self.runs % self.batches != 0:
                 raise ConfigError("batches must divide runs")
-            if self.grid_k < 2:
-                raise ConfigError("need at least 2 grid cells")
-        get_reference(self.base)
+            object.__setattr__(self, "grid", GridSpec.from_quantile(
+                lambda u: reference.quantile(self.base.horizon, u), self.grid_k))
+        object.__setattr__(self, "configs", tuple(
+            self._row(j, value) for j, value in enumerate(self.values)))
+
+    def _row(self, j: int, value) -> SimulationConfig:
+        seed = self.base.seed if self.paired_seeds else derive_seed(self.base.seed, j)
+        try:
+            if self.sweep == SWEEP_N:
+                config = replace(self.base, n_particles=int(value), seed=seed)
+            else:
+                config = replace(self.base, step=float(value), seed=seed)
+        except (ValueError, OverflowError) as err:  # ConfigError is a ValueError
+            raise ConfigError(f"sweep value {value}: {err}") from None
+        if self.kind == STRONG and config.n_particles < 2:
+            raise ConfigError(f"sweep value {value}: a strong study needs at least 2 particles")
+        return config
 
 
 @dataclass(frozen=True)
@@ -103,22 +120,6 @@ class StudyRow:
     estimation: float
     precision: float
     ratio: Optional[float]
-
-
-@dataclass(frozen=True)
-class ErrorTable:
-    rows: tuple[StudyRow, ...]
-
-    @classmethod
-    def from_points(cls, points: Iterable[tuple[float, float, float]]) -> "ErrorTable":
-        """Attach the ratio-of-decrease column: previous over current estimate."""
-        rows = []
-        previous = None
-        for parameter, estimation, precision in points:
-            ratio = None if previous is None else previous / estimation
-            rows.append(StudyRow(parameter, estimation, precision, ratio))
-            previous = estimation
-        return cls(tuple(rows))
 
 
 # -- per-run workers ---------------------------------------------------------
@@ -225,28 +226,19 @@ def weak_error_point(config: SimulationConfig, runs: int, batches: int,
     return estimation, precision
 
 
-def run_study(spec: StudySpec, *, threads: int = 1) -> ErrorTable:
-    """Run every sweep row of a study and assemble the error table."""
-    points = []
-    grid = None
-    if spec.kind == WEAK:
-        reference = get_reference(spec.base)
-        grid = GridSpec.from_quantile(
-            lambda u: reference.quantile(spec.base.horizon, u), spec.grid_k)
-    for j, value in enumerate(spec.values):
-        row_seed = spec.base.seed if spec.paired_seeds else derive_seed(spec.base.seed, j)
-        if spec.sweep == SWEEP_N:
-            cfg = replace(spec.base, n_particles=int(value), seed=row_seed)
-        else:
-            cfg = replace(spec.base, step=float(value), seed=row_seed)
+def run_study(spec: StudySpec, *, threads: int = 1) -> tuple[StudyRow, ...]:
+    """One table row per config the spec built, in sweep order; the ratio is
+    the previous estimate over the row's own (none on the first row)."""
+    rows = []
+    for value, config in zip(spec.values, spec.configs):
         try:
             if spec.kind == STRONG:
-                estimation, precision = strong_error_point(cfg, spec.runs, threads=threads)
+                estimation, precision = strong_error_point(config, spec.runs, threads=threads)
             else:
                 estimation, precision = weak_error_point(
-                    cfg, spec.runs, spec.batches, grid, threads=threads)
+                    config, spec.runs, spec.batches, spec.grid, threads=threads)
         except NumericalError as err:
             raise NumericalError(f"sweep value {value}: {err}") from err
-        points.append((float(value), estimation, precision))
-    return ErrorTable.from_points(points)
-
+        ratio = rows[-1].estimation / estimation if rows else None
+        rows.append(StudyRow(float(value), estimation, precision, ratio))
+    return tuple(rows)

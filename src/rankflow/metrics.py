@@ -86,8 +86,6 @@ class GridSpec:
     def from_quantile(cls, quantile: Callable[[np.ndarray], np.ndarray], k_points: int) -> "GridSpec":
         """Build the grid by evaluating a (vectorized) quantile function."""
         k = int(k_points)
-        if k < 2:
-            raise ConfigError("need at least 2 grid cells")
         edges = np.asarray(quantile(np.arange(1, k) / k), dtype=float)
         mids = np.asarray(quantile((2.0 * np.arange(k) + 1.0) / (2.0 * k)), dtype=float)
         return cls(k, edges, mids)

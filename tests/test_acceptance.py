@@ -76,7 +76,7 @@ def weak_h_table():
 # -- 1. strong error vs number of particles -----------------------------------
 
 def test_criterion_1_strong_error_vs_n(strong_n_table):
-    rows = strong_n_table.rows
+    rows = strong_n_table
     first = rows[0].estimation
     ratios = [r.ratio for r in rows[1:]]
     ok = 0.027 <= first <= 0.040 and all(1.5 <= r <= 2.7 for r in ratios)
@@ -96,7 +96,7 @@ def test_strong_error_reference_row_n16000():
 # -- 2. strong error vs time step ----------------------------------------------
 
 def test_criterion_2_strong_error_vs_h(strong_h_table):
-    rows = strong_h_table.rows
+    rows = strong_h_table
     rel = [abs(r.estimation - ref) / ref for r, ref in zip(rows, STRONG_H_REFERENCE)]
     ratios = [r.ratio for r in rows[1:]]
     ok = all(e <= 0.10 for e in rel) and all(1.7 <= r <= 2.5 for r in ratios)
@@ -108,7 +108,7 @@ def test_criterion_2_strong_error_vs_h(strong_h_table):
 # -- 3. weak error vs number of particles ---------------------------------------
 
 def test_criterion_3_weak_error_vs_n(weak_n_table):
-    rows = weak_n_table.rows
+    rows = weak_n_table
     ref_est, ref_prec = WEAK_N_REFERENCE[100]
     combined = np.hypot(rows[0].precision, ref_prec)
     ratios = [r.ratio for r in rows[1:]]
@@ -122,7 +122,7 @@ def test_criterion_3_weak_error_vs_n(weak_n_table):
 # -- 4. weak error vs time step ---------------------------------------------------
 
 def test_criterion_4_weak_error_vs_h(weak_h_table):
-    rows = weak_h_table.rows
+    rows = weak_h_table
     rel = [abs(r.estimation - ref) / ref for r, ref in zip(rows, WEAK_H_REFERENCE)]
     ratios = [r.ratio for r in rows[1:]]
     ok = all(e <= 0.10 for e in rel) and all(1.7 <= r <= 2.3 for r in ratios)
@@ -259,24 +259,24 @@ def _loglog_slope(params, estimates):
 
 
 def test_strong_rate_in_n(strong_n_table):
-    slope = _loglog_slope([r.parameter for r in strong_n_table.rows],
-                          [r.estimation for r in strong_n_table.rows])
+    slope = _loglog_slope([r.parameter for r in strong_n_table],
+                          [r.estimation for r in strong_n_table])
     assert abs(slope - (-0.5)) <= 0.15
 
 
 def test_weak_rate_in_n(weak_n_table):
-    slope = _loglog_slope([r.parameter for r in weak_n_table.rows],
-                          [r.estimation for r in weak_n_table.rows])
+    slope = _loglog_slope([r.parameter for r in weak_n_table],
+                          [r.estimation for r in weak_n_table])
     assert abs(slope - (-1.0)) <= 0.2
 
 
 def test_strong_rate_in_h(strong_h_table):
-    slope = _loglog_slope([r.parameter for r in strong_h_table.rows],
-                          [r.estimation for r in strong_h_table.rows])
+    slope = _loglog_slope([r.parameter for r in strong_h_table],
+                          [r.estimation for r in strong_h_table])
     assert abs(slope - 1.0) <= 0.15
 
 
 def test_weak_rate_in_h(weak_h_table):
-    slope = _loglog_slope([r.parameter for r in weak_h_table.rows],
-                          [r.estimation for r in weak_h_table.rows])
+    slope = _loglog_slope([r.parameter for r in weak_h_table],
+                          [r.estimation for r in weak_h_table])
     assert abs(slope - 1.0) <= 0.15

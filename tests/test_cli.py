@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rankflow
@@ -175,6 +175,36 @@ def test_bad_sweep_is_config_error():
     assert run_cli(["strong", "--sweep", "q:1,2", "--runs", "3"]) == 2
 
 
+def test_only_a_bare_sweep_name_means_the_preset():
+    assert cli._parse_sweep("n") == ("n", None)
+    assert cli._parse_sweep("h:0.5,0.25") == ("h", (0.5, 0.25))
+    for text in ("n:", "h:"):
+        with pytest.raises(cli.ConfigError, match="bad sweep values"):
+            cli._parse_sweep(text)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--horizon", "-1e-3"), ("--horizon", "-inf"), ("--sigma2", "-inf"),
+    ("--sigma2", "-nan"), ("--step", "-1E2"), ("--particles", "-1e3"), ("--seed", "-1.5e1"),
+])
+def test_negative_number_is_a_value(capsys, flag, value):
+    # "--flag -1e-3" gives the value's own one-line error, as "--flag=-1e-3" does
+    args = ["strong", "--sweep", "h:0.5" if flag == "--particles" else "n:4", "--runs", "2"]
+    if flag not in ("--particles", "--step"):
+        args += ["--step", "0.5"]
+    errors = []
+    for spelling in ([flag, value], [f"{flag}={value}"]):
+        try:
+            code = run_cli(args + spelling)
+        except SystemExit as exit_:
+            code = exit_.code
+        assert code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].count("\n") == 1
+    assert "expected one argument" not in errors[0]
+
+
 def test_strong_single_particle_row_is_config_error():
     assert run_cli(["strong", "--sweep", "n:4,1", "--runs", "2", "--step", "0.5"]) == 2
 
@@ -289,20 +319,39 @@ def test_unwritable_out_fails_before_any_run(monkeypatch, capsys):
     assert "/nonexistent-dir/x.csv" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args", [
-    ["strong", "--sweep", "n:4", "--runs", "1", "--step", "0.5", "--out"],
-    ["strong", "--sweep", "n:4", "--runs", "2", "--flux", "quadratic", "--out"],
-    ["weak", "--sweep", "n:4", "--runs", "4", "--batches", "3", "--out"],
-    ["strong", "--sweep", "n:4", "--runs", "2", "--threads", "0", "--out"],
-    ["exact", "--horizon", "inf", "--out"],
-    ["exact", "--grid", "1", "--out"],
-    ["simulate", "--particles", "0", "--step", "0.5", "--emit-positions"],
-], ids=["runs", "no-reference", "batches", "threads", "horizon", "grid", "particles"])
-def test_bad_flag_touches_no_file(tmp_path, args):
+@pytest.mark.parametrize("args, reason", [
+    (["strong", "--sweep", "n:4", "--runs", "1", "--step", "0.5", "--out"],
+     "need at least 2 runs"),
+    (["strong", "--sweep", "n:4", "--runs", "2", "--flux", "quadratic", "--out"],
+     "no exact reference solution registered for flux 'polynomial'"),
+    (["weak", "--sweep", "n:4", "--runs", "4", "--batches", "3", "--out"],
+     "batches must divide runs"),
+    (["strong", "--sweep", "n:4", "--runs", "2", "--threads", "0", "--out"],
+     "thread count must be >= 1, got 0"),
+    (["exact", "--horizon", "inf", "--out"], "--horizon must be finite and > 0"),
+    (["exact", "--grid", "1", "--out"], "--grid must be >= 2"),
+    (["simulate", "--particles", "0", "--step", "0.5", "--emit-positions"],
+     "n_particles must be >= 1"),
+    # a bad row after a good one, and the weak reference grid, fail before any run
+    (["weak", "--sweep", "n:4,0", "--step", "0.5", "--runs", "4", "--batches", "2",
+      "--grid", "8", "--out"], "sweep value 0: n_particles must be >= 1"),
+    (["strong", "--sweep", "h:0.5,2", "--particles", "4", "--runs", "2", "--out"],
+     "sweep value 2.0: need 0 < step <= horizon"),
+    (["strong", "--sweep", "h:0.5,nan", "--particles", "4", "--runs", "2", "--out"],
+     "sweep value nan: need 0 < step <= horizon"),
+    (["weak", "--sweep", "n:4", "--step", "0.5", "--runs", "2", "--grid", "8",
+      "--sigma2", "1e-30", "--out"], "quantile grid must be strictly increasing"),
+], ids=["runs", "no-reference", "batches", "threads", "horizon", "grid", "particles",
+        "weak-row-of-no-particles", "step-above-horizon", "nan-step", "weak-grid"])
+def test_bad_flag_touches_no_file(tmp_path, capsys, monkeypatch, args, reason):
+    calls = []
+    monkeypatch.setattr(cli.harness, "simulate", calls.append)
     out = tmp_path / "kept.csv"
     out.write_text("kept\n")
     assert run_cli(args + [str(out)]) == 2
     assert out.read_text() == "kept\n"
+    assert capsys.readouterr().err == f"rankflow: {reason}\n"
+    assert calls == []
 
 
 def test_simulate_unwritable_positions_path():
@@ -340,6 +389,16 @@ def test_rejected_input_exits_two_at_once(args):
     assert done.stderr.startswith("rankflow: ")
     assert "Traceback" not in done.stderr
     assert "RuntimeWarning" not in done.stderr
+
+
+def test_overflowing_run_exits_three():
+    # the drift table overflows to inf and nan: no numpy warning, one line, exit 3
+    done = run_cli_process(["simulate", "--particles", "4", "--step", "0.5",
+                            "--flux", "poly:0,1e308,1e308"])
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == ("rankflow: numerical failure: positions overflowed: "
+                           "not every final position is finite\n")
 
 
 def test_exact_at_tiny_viscosity_exits_zero():
@@ -416,13 +475,15 @@ def test_ctrl_c_exits_130(threads):
 # -- exit-code fuzz ---------------------------------------------------------------
 #
 # Any argv ends in exit 0, 2 or 3 with at most one line on stderr, no
-# traceback and no warning.  Sizes are tiny (N <= 8, at most 50 Euler steps
-# per run unless a bare h-sweep's preset asks for more, runs <= 6) so that a
-# few hundred command lines run in seconds; every value list mixes valid
-# choices with malformed ones.
+# traceback and no warning, and an exit 2 leaves an existing output file
+# unchanged.  Sizes are tiny (N <= 8, at most 50 Euler steps per run unless
+# a bare h-sweep's preset asks for more, runs <= 6) so that a few hundred
+# command lines run in seconds; every value list mixes valid choices with
+# malformed ones.
 
 MALFORMED = ("", "x", "nan", "inf", "-inf", "-1", "0", "1e400", "1,2", "a\nb")
 FILE = object()  # stands for a writable path in a fresh directory
+SENTINEL = "kept\n"  # the file's content before the call
 
 
 def values(*valid):
@@ -441,10 +502,10 @@ DESTINATIONS = st.sampled_from([FILE, "-", "", "/nonexistent-dir/x"])
 def model_flags(draw):
     flags = []
     for flag, strategy in [
-        ("--horizon", values("1", "0.5")),
-        ("--sigma2", values("0.2", "1e-9", "1e9")),
+        ("--horizon", values("1", "0.5", "-1e-3")),
+        ("--sigma2", values("0.2", "1e-9", "1e9", "1e-30")),
         ("--flux", values("burgers", "quadratic", "poly:-0.5,1,-0.5", "poly:0,0,0.5",
-                          "poly:", "poly:nan", "poly:1,x")),
+                          "poly:", "poly:nan", "poly:1,x", "poly:0,1e308,1e308")),
         ("--scheme", values("rank", "frac")),
         ("--init", values("optimal", "iid", "dirac")),
         ("--dist", values("dirac0", "uniform:0,1", "uniform:1,0", "uniform:-inf,0",
@@ -472,7 +533,7 @@ def command_lines(draw):
         return (argv + draw(model_flags())
                 + draw(optional("--emit-positions", DESTINATIONS)))
     sweep = draw(values("n:2,8", "n:4", "n:1,2", "h:0.5,0.25", "h:0.02", "h", "h:",
-                        "h:0.5,-1", "n:4,1.5", "q:1", ":"))
+                        "h:0.5,-1", "n:4,1.5", "q:1", ":", "n:2,0", "h:0.02,2", "h:0.5,nan"))
     argv = [command, "--sweep", sweep, "--particles", draw(particles), "--step", draw(step),
             "--runs", draw(values("2", "3", "4", "6"))]
     argv += draw(optional("--threads", values("1", "2")))
@@ -498,6 +559,15 @@ def argvs(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(argvs())
+# a bad row after a good one, and a weak grid the exact quantile cannot
+# resolve, must fail before the destination opens
+@example(["weak", "--sweep", "n:2,0", "--step", "0.5", "--runs", "2", "--out", FILE])
+@example(["strong", "--sweep", "h:0.02,2", "--particles", "2", "--runs", "2", "--out", FILE])
+@example(["strong", "--sweep", "h:0.5,nan", "--particles", "2", "--runs", "2", "--out", FILE])
+@example(["weak", "--sweep", "n:4", "--step", "0.5", "--runs", "2", "--grid", "5",
+          "--sigma2", "1e-30", "--out", FILE])
+# finite final positions whose sum overflows: the summary's mean must not warn
+@example(["simulate", "--particles", "2", "--step", "0.5", "--flux", "poly:0,1e308,1e308"])
 def test_any_argv_exits_cleanly(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as scratch, \
@@ -506,13 +576,19 @@ def test_any_argv_exits_cleanly(argv):
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         environ.pop("RANKFLOW_THREADS", None)
         warnings.simplefilter("always")
-        argv = [os.path.join(scratch, "out") if a is FILE else a for a in argv]
+        target = os.path.join(scratch, "out")
+        with open(target, "w") as handle:
+            handle.write(SENTINEL)
+        argv = [target if a is FILE else a for a in argv]
         try:
             code = cli.main(argv)
         except SystemExit as exit_:
             code = exit_.code
+        with open(target) as handle:
+            kept = handle.read()
     err = stderr.getvalue()
     assert code in (0, 2, 3), (argv, code, err)
+    assert code != 2 or kept == SENTINEL, (argv, err)
     assert err.count("\n") <= 1 and (err == "" or err.endswith("\n")), (argv, err)
     assert "Traceback" not in err
     assert [str(w.message) for w in caught] == [], argv

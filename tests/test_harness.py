@@ -6,8 +6,8 @@ from scipy.special import ndtr
 
 import rankflow.cli as cli
 import rankflow.harness as harness
-from rankflow import (BurgersSolution, ConfigError, ErrorTable, FluxFunction, GridSpec,
-                      NumericalError, SimulationConfig, StudySpec,
+from rankflow import (BurgersSolution, ConfigError, FluxFunction, GridSpec,
+                      NumericalError, SimulationConfig, StudyRow, StudySpec,
                       UnsupportedReferenceError, run_study, strong_error_point,
                       weak_error_point)
 from rankflow.metrics import psi_grid_free
@@ -109,20 +109,20 @@ def test_weak_never_far_above_strong():
 def test_run_study_single_row_has_no_ratio():
     spec = StudySpec("strong", burgers_config(), "n", (8,), 3)
     table = run_study(spec)
-    assert len(table.rows) == 1
-    assert table.rows[0].ratio is None
+    assert len(table) == 1
+    assert table[0].ratio is None
 
 
 def test_run_study_ratio_is_previous_over_current():
     spec = StudySpec("strong", burgers_config(seed=3), "n", (4, 8, 16), 4)
-    rows = run_study(spec).rows
+    rows = run_study(spec)
     assert rows[1].ratio == pytest.approx(rows[0].estimation / rows[1].estimation)
     assert rows[2].ratio == pytest.approx(rows[1].estimation / rows[2].estimation)
 
 
 def test_run_study_sweep_h():
     spec = StudySpec("strong", burgers_config(), "h", (0.5, 0.25), 3)
-    rows = run_study(spec).rows
+    rows = run_study(spec)
     assert [r.parameter for r in rows] == [0.5, 0.25]
 
 
@@ -138,9 +138,9 @@ def test_run_study_deterministic_and_thread_invariant():
 
 def test_run_study_paired_seeds_share_noise():
     spec = StudySpec("strong", burgers_config(), "n", (8, 8), 4, paired_seeds=True)
-    rows = run_study(spec).rows
+    rows = run_study(spec)
     assert rows[0].estimation == rows[1].estimation
-    unpaired = run_study(StudySpec("strong", burgers_config(), "n", (8, 8), 4)).rows
+    unpaired = run_study(StudySpec("strong", burgers_config(), "n", (8, 8), 4))
     assert unpaired[0].estimation != unpaired[1].estimation
 
 
@@ -164,6 +164,33 @@ def test_study_spec_validation():
         StudySpec("weak", cfg, "n", (4,), 4, batches=None)
     with pytest.raises(UnsupportedReferenceError):
         StudySpec("strong", burgers_config(flux=FluxFunction.quadratic()), "n", (4,), 3)
+    # every row is checked, not only the base: a weak row of no particles,
+    # and a row whose step exceeds the horizon
+    with pytest.raises(ConfigError, match="sweep value 0: n_particles must be >= 1"):
+        StudySpec("weak", cfg, "n", (4, 0), 4, batches=2, grid_k=8)
+    with pytest.raises(ConfigError, match=r"sweep value 2: need 0 < step <= horizon"):
+        StudySpec("strong", cfg, "h", (0.5, 2), 3)
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_study_spec_row_configs(paired):
+    # row j runs base with its swept value and seed derive_seed(base seed, j),
+    # or the base seed itself when paired; the base's own N is never run
+    base = burgers_config(n_particles=1, seed=1234)
+    spec = StudySpec("strong", base, "n", (4, 8, 16), 3, paired_seeds=paired)
+    assert [c.n_particles for c in spec.configs] == [4, 8, 16]
+    expected = [1234] * 3 if paired else [derive_seed(1234, j) for j in range(3)]
+    assert [c.seed for c in spec.configs] == expected
+    assert spec.configs[1] == SimulationConfig(
+        n_particles=8, step=0.25, horizon=1.0, sigma=SIGMA, flux=BURGERS, seed=expected[1])
+    h_spec = StudySpec("weak", base, "h", (0.5, 0.25), 4, batches=2, grid_k=8,
+                       paired_seeds=paired)
+    assert [(c.step, c.seed) for c in h_spec.configs] == [
+        (0.5, expected[0]), (0.25, expected[1])]
+    # the weak reference grid is built with the rows; a strong study has none
+    np.testing.assert_array_equal(h_spec.grid.midpoint_quantiles,
+                                  small_grid(8).midpoint_quantiles)
+    assert spec.grid is None
 
 
 # -- statistical sanity of the confidence interval -------------------------------
@@ -202,8 +229,8 @@ def test_interval_covers_known_model(monkeypatch):
 
 @pytest.fixture
 def table():
-    return ErrorTable.from_points([(250.0, 0.0331236111, 0.0029044222),
-                                   (1000.0, 0.0159825333, 0.0013318111)])
+    return (StudyRow(250.0, 0.0331236111, 0.0029044222, None),
+            StudyRow(1000.0, 0.0159825333, 0.0013318111, 0.0331236111 / 0.0159825333))
 
 
 def test_emit_csv_format(table):
@@ -218,11 +245,11 @@ def test_emit_csv_format(table):
 def test_emit_json_round_trip(table):
     rows = json.loads("\n".join(cli._table_lines(table, "json")))
     assert rows[0]["ratio"] is None
-    for row, original in zip(rows, table.rows):
+    for row, original in zip(rows, table):
         assert row["parameter"] == float(f"{original.parameter:.8g}")
         assert row["estimation"] == float(f"{original.estimation:.8g}")
         assert row["precision"] == float(f"{original.precision:.8g}")
-    assert rows[1]["ratio"] == float(f"{table.rows[1].ratio:.8g}")
+    assert rows[1]["ratio"] == float(f"{table[1].ratio:.8g}")
 
 
 def test_emit_stdout(tmp_path, capsys, monkeypatch, table):
