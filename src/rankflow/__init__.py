@@ -7,7 +7,7 @@ studies of the strong and weak errors.
 """
 
 from .engine import (FRACTIONAL_RANK, IID, OPTIMAL, RANK_COEFFICIENT, InitRule,
-                     ParticleEnsemble, SimulationConfig, simulate, sorted_view)
+                     ParticleEnsemble, SimulationConfig, simulate)
 from .errors import (BracketError, ConfigError, DegenerateInputWarning, DomainError,
                      NumericalError, RankflowError, UnsupportedReferenceError)
 from .exact import BurgersSolution
@@ -28,6 +28,6 @@ __all__ = [
     "SWEEP_N", "SimulationConfig", "StudyRow", "StudySpec", "Uniform",
     "UnsupportedReferenceError", "WEAK", "empirical_cdf_at", "iid_positions",
     "optimal_positions", "parse_distribution", "parse_flux", "phi_grid",
-    "psi_grid_free", "run_study", "simulate", "sorted_view", "strong_error_point",
+    "psi_grid_free", "run_study", "simulate", "strong_error_point",
     "weak_error_point",
 ]

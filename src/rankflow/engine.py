@@ -16,6 +16,9 @@ For the Burgers flux the two variants differ by exactly 1/(2n) in every
 coefficient.  With all particles tied (the Dirac start) the stable
 tie-break hands out all n coefficients, so the ensemble immediately
 develops the rarefaction fan of the limiting profile.
+
+Positions leave the engine in original index order: the per-step ranking
+is its only sort, and :mod:`rankflow.metrics` sorts a final sample.
 """
 
 from __future__ import annotations
@@ -152,15 +155,6 @@ def zero_based_ranks(positions: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def sorted_view(state: ParticleEnsemble) -> np.ndarray:
-    """Nondecreasing copy of the positions; the state keeps original order.
-
-    Uses the default (unstable) sort: it can order ``-0.0`` and ``+0.0``
-    differently from a stable sort, but the values are otherwise the same.
-    """
-    return np.sort(state.positions)
-
-
 @lru_cache(maxsize=64)
 def _fractional_table(flux: FluxFunction, n: int) -> np.ndarray:
     """Flux derivative at q/n per zero-based rank q, cached per (flux, n)."""
@@ -213,15 +207,15 @@ def _advance(x: np.ndarray, drift: np.ndarray, sigma: float, h: float, n_full: i
 
 
 def simulate(config: SimulationConfig,
-             snapshot: Optional[Callable[[ParticleEnsemble], None]] = None) -> ParticleEnsemble:
+             snapshot: Optional[Callable[[float, np.ndarray], None]] = None) -> ParticleEnsemble:
     """Run the particle system to the horizon; fully determined by the config.
 
     Takes floor(horizon/step) full steps plus one shorter final step when the
     horizon is not a multiple of the step.  Initial positions come from the
     init rule; particle i's increment at step k consumes position k*n + i of
     the run's increment stream (see :mod:`rankflow.stream` for the seed
-    layout).  When ``snapshot`` is given it receives the ensemble at time 0
-    and after every step; by default no trajectory is stored.
+    layout).  When given, ``snapshot(time, positions)`` gets a copy of the
+    positions at time 0 and after every step; no trajectory is stored.
 
     Returns the final ensemble at the horizon.  Overflow does not warn; a
     non-finite final position raises NumericalError.
@@ -232,7 +226,7 @@ def simulate(config: SimulationConfig,
 
     x = config.init.positions(n, init_rng)
     if snapshot is not None:
-        snapshot(ParticleEnsemble(0.0, x.copy()))
+        snapshot(0.0, x.copy())
 
     n_full = int(np.floor(horizon / h + _STEP_SLACK))
     remainder = horizon - n_full * h
@@ -243,7 +237,7 @@ def simulate(config: SimulationConfig,
         steps = _advance(x, _drift_table(config), config.sigma, h, n_full, remainder, steps_rng)
         for k, x in enumerate(steps, 1):
             if snapshot is not None:
-                snapshot(ParticleEnsemble(k * h if k <= n_full else horizon, x.copy()))
+                snapshot(k * h if k <= n_full else horizon, x.copy())
     if not np.isfinite(x).all():
         raise NumericalError("positions overflowed: not every final position is finite")
     return ParticleEnsemble(horizon, x)

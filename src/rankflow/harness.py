@@ -17,8 +17,9 @@ independent: run r of sweep row j uses the seed derived from (base_seed,
 j, r), so tables are reproducible bit for bit; with paired seeds the row
 index is dropped and all rows share their Brownian noise.  Workers may
 execute in a process pool, but reduction always happens in run index
-order, which keeps results identical for every worker count.  The harness
-writes nothing: ``rankflow.cli`` formats and writes every table.
+order, which keeps results identical for every worker count.  A run hands
+its final positions, unsorted, to the estimator.  The harness writes
+nothing: ``rankflow.cli`` formats and writes every table.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .engine import SimulationConfig, simulate, sorted_view
+from .engine import SimulationConfig, simulate
 from .errors import ConfigError, NumericalError, UnsupportedReferenceError
 from .exact import BurgersSolution
 from .flux import BURGERS
@@ -95,8 +96,16 @@ class StudySpec:
                 raise ConfigError("weak study needs at least 2 batches")
             if self.runs % self.batches != 0:
                 raise ConfigError("batches must divide runs")
-            object.__setattr__(self, "grid", GridSpec.from_quantile(
-                lambda u: reference.quantile(self.base.horizon, u), self.grid_k))
+            try:
+                grid = GridSpec.from_quantile(
+                    lambda u: reference.quantile(self.base.horizon, u), self.grid_k)
+            except ConfigError:
+                if self.grid_k < 2:
+                    raise
+                raise ConfigError(f"the exact quantile at sigma^2 = {self.base.sigma ** 2:.6g} "
+                                  f"cannot separate K = {self.grid_k} grid cells in double "
+                                  "precision") from None
+            object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "configs", tuple(
             self._row(j, value) for j, value in enumerate(self.values)))
 
@@ -129,8 +138,7 @@ class StudyRow:
 
 def _strong_run(config: SimulationConfig, reference, run_index: int) -> float:
     cfg = replace(config, seed=derive_seed(config.seed, run_index))
-    final = simulate(cfg)
-    return psi_grid_free(sorted_view(final), lambda x: reference.cdf(cfg.horizon, x))
+    return psi_grid_free(simulate(cfg).positions, lambda x: reference.cdf(cfg.horizon, x))
 
 
 def _weak_run(config: SimulationConfig, midpoints: np.ndarray, run_index: int) -> np.ndarray:
@@ -178,8 +186,8 @@ def strong_error_point(config: SimulationConfig, runs: int, *,
     """Mean grid-free W1 estimate over independent runs, with 95% half-width.
 
     Each run simulates the config with its derived seed and evaluates the
-    grid-free estimator of its sorted final ensemble against the exact CDF
-    at the horizon.  The half-width is 1.96 * sqrt(sample variance / runs)
+    grid-free estimator of its final positions against the exact CDF at the
+    horizon.  The half-width is 1.96 * sqrt(sample variance / runs)
     with the unbiased variance.
     """
     if runs < 2:

@@ -9,6 +9,8 @@
   boundary half-cells.  Suited to averaged CDF vectors where the sample
   itself is too large to keep.
 
+Both take a sample in any order and sort it, in ``_sorted_sample``.
+
 W1 between two empirical measures, which checks these estimators, is a
 test oracle in ``tests/oracles.py``.
 """
@@ -24,26 +26,35 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputWarning
 
 
+def _sorted_sample(positions) -> np.ndarray:
+    """The sample sorted, if a non-empty finite 1-D vector.  The default sort
+    may put ``-0.0`` and ``+0.0`` in either order, which changes neither
+    estimate; NaN sorts last, so the two ends decide finiteness."""
+    y = np.asarray(positions, dtype=float)
+    if y.ndim != 1 or y.size == 0:
+        raise ConfigError("positions must be a non-empty 1-D vector")
+    y = np.sort(y)
+    if not np.isfinite(y[[0, -1]]).all():
+        raise ConfigError("positions must all be finite")
+    return y
+
+
 def empirical_cdf_at(positions, x):
     """Fraction of positions <= x (weak inequality); vectorized in x."""
-    pos = np.sort(np.asarray(positions, dtype=float))
+    pos = _sorted_sample(positions)
     xx = np.asarray(x, dtype=float)
     out = np.searchsorted(pos, xx, side="right") / pos.size
     return float(out) if xx.ndim == 0 else out
 
 
-def psi_grid_free(sorted_positions, exact_cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Grid-free W1 estimate of a sorted sample against a reference CDF.
+def psi_grid_free(positions, exact_cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Grid-free W1 estimate of a sample, in any order, against a reference CDF.
 
     Trapezoid sum between consecutive order statistics, with the empirical
     CDF equal to i/n on the i-th gap.  A single point makes the sum empty;
     that degenerate case warns and returns 0.
     """
-    y = np.asarray(sorted_positions, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ConfigError("need a non-empty 1-D vector")
-    if np.any(np.diff(y) < 0.0):
-        raise ConfigError("positions must be sorted nondecreasing")
+    y = _sorted_sample(positions)
     n = y.size
     if n == 1:
         warnings.warn("grid-free estimate of a single point is vacuous",

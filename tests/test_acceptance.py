@@ -194,7 +194,7 @@ def test_criterion_7_structural_properties():
             sigma=float(rng.uniform(0.1, 2.0)), flux=BURGERS,
             seed=int(rng.integers(2**63)))
         snaps = []
-        simulate(cfg, snapshot=lambda s: snaps.append(s.positions))
+        simulate(cfg, snapshot=lambda t, x: snaps.append(x))
         for _ in range(40):
             i, j = sorted(rng.choice(len(snaps), size=2, replace=False))
             for rho in (1.0, 2.0):

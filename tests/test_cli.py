@@ -340,7 +340,9 @@ def test_unwritable_out_fails_before_any_run(monkeypatch, capsys):
     (["strong", "--sweep", "h:0.5,nan", "--particles", "4", "--runs", "2", "--out"],
      "sweep value nan: need 0 < step <= horizon"),
     (["weak", "--sweep", "n:4", "--step", "0.5", "--runs", "2", "--grid", "8",
-      "--sigma2", "1e-30", "--out"], "quantile grid must be strictly increasing"),
+      "--sigma2", "1e-30", "--out"],
+     "the exact quantile at sigma^2 = 1e-30 cannot separate K = 8 grid cells in double "
+     "precision"),
 ], ids=["runs", "no-reference", "batches", "threads", "horizon", "grid", "particles",
         "weak-row-of-no-particles", "step-above-horizon", "nan-step", "weak-grid"])
 def test_bad_flag_touches_no_file(tmp_path, capsys, monkeypatch, args, reason):

@@ -127,8 +127,18 @@ def test_psi_single_point_warns_and_returns_zero():
 def test_psi_validation():
     with pytest.raises(ConfigError):
         psi_grid_free([], uniform_cdf)
+    # any order is a sample: the estimator sorts it
+    assert psi_grid_free([1.0, 0.0], uniform_cdf) == psi_grid_free([0.0, 1.0], uniform_cdf)
+
+
+@pytest.mark.parametrize("estimate", [lambda y: psi_grid_free(y, uniform_cdf),
+                                      lambda y: empirical_cdf_at(y, 0.5)],
+                         ids=["grid-free", "empirical-cdf"])
+@pytest.mark.parametrize("sample", [[], [[0.0, 1.0], [2.0, 3.0]], [np.nan, 1.0], [1.0, np.inf]],
+                         ids=["empty", "2-d", "nan", "inf"])
+def test_estimators_reject_what_is_not_a_sample(estimate, sample):
     with pytest.raises(ConfigError):
-        psi_grid_free([1.0, 0.0], uniform_cdf)
+        estimate(sample)
 
 
 # -- grid spec and grid estimator ----------------------------------------------
