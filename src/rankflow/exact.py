@@ -47,14 +47,21 @@ class BurgersSolution:
         if not 0.0 < t < np.inf:
             raise DomainError("the closed form requires a finite t > 0")
         x = np.asarray(x, dtype=float)
+        scalar = x.ndim == 0
+        x = np.atleast_1d(x)
         scale = self.sigma * np.sqrt(t)
-        g = (
-            (2.0 * x - t) / (2.0 * self.sigma**2)
-            + log_ndtr(x / scale)
-            - log_ndtr((t - x) / scale)
-        )
-        out = expit(g)
-        return float(out) if out.ndim == 0 else out
+        # g in place, in the operation order of the formula in the module
+        # docstring, so the bits are those of the plain expression
+        g = 2.0 * x
+        g -= t
+        g /= 2.0 * self.sigma**2
+        below = x / scale
+        g += log_ndtr(below, out=below)
+        above = t - x
+        above /= scale
+        g -= log_ndtr(above, out=above)
+        expit(g, out=g)
+        return float(g[0]) if scalar else g
 
     def quantile(self, t: float, u):
         """Generalized inverse of cdf(t, .) at u, by bracketing bisection.

@@ -6,7 +6,7 @@ from scipy.special import gamma as gamma_fn
 
 from oracles import QuantileTable, lipschitz_speed, max_speed, rank_counts
 from rankflow import (BurgersSolution, ConfigError, FluxFunction, Gaussian, InitRule,
-                      NumericalError, ParticleEnsemble, SimulationConfig, Uniform,
+                      NumericalError, SimulationConfig, Uniform,
                       empirical_cdf_at, optimal_positions, psi_grid_free, simulate)
 from rankflow import engine
 from rankflow.engine import FRACTIONAL_RANK, IID, MAX_STEPS, OPTIMAL, zero_based_ranks
@@ -37,8 +37,9 @@ def test_rank_counts_single():
 
 
 def test_zero_based_ranks_distinct_match_counts():
-    # sizes on both sides of the stable-sort cut-over
-    for n in (50, engine._STABLE_BELOW - 1, engine._STABLE_BELOW, 1000):
+    # sizes on each side of the stable-sort and packed-word cut-overs
+    for n in (50, engine._STABLE_BELOW - 1, engine._STABLE_BELOW, 1000,
+              engine._PACKED_FROM, 2 * engine._PACKED_FROM):
         x = make_generator(n).random(n)
         np.testing.assert_array_equal(zero_based_ranks(x), rank_counts(x) - 1)
 
@@ -67,9 +68,10 @@ def stable_ranks(x):
     return ranks
 
 
-#: sample sizes on each side of the stable-sort cut-over
+#: sample sizes on each side of the stable-sort and packed-word cut-overs
 BOTH_SIDES = st.one_of(st.integers(1, engine._STABLE_BELOW - 1),
-                       st.integers(engine._STABLE_BELOW, 4 * engine._STABLE_BELOW))
+                       st.integers(engine._STABLE_BELOW, 4 * engine._STABLE_BELOW),
+                       st.integers(engine._PACKED_FROM, 2 * engine._PACKED_FROM))
 
 
 @settings(deadline=None)
@@ -78,6 +80,32 @@ BOTH_SIDES = st.one_of(st.integers(1, engine._STABLE_BELOW - 1),
 def test_zero_based_ranks_equal_stable_argsort_ranks(x):
     # from the cut-over on, the SIMD sort orders tied values arbitrarily:
     # only the tie fallback gives the stable ranks
+    np.testing.assert_array_equal(zero_based_ranks(x), stable_ranks(x))
+
+
+def packed_sample(*values):
+    """``2 * _PACKED_FROM`` values: ``values`` after random ones in [0, 1], 0 and 1 among them.
+
+    With a span of 1 a key is ``floor(x * 2**(63-b))``, b = 12: finite
+    values in [0, 1] closer than 2**-51 can share a key.
+    """
+    n = 2 * engine._PACKED_FROM - len(values)
+    x = make_generator(3).random(n)
+    x[:2] = 0.0, 1.0
+    return np.concatenate([x, values])
+
+
+@pytest.mark.parametrize("x", [
+    # one ulp apart, one key, the larger value at the lower index
+    packed_sample(np.nextafter(0.5, 1.0), 0.5),
+    packed_sample(0.0, -0.0, 0.3, -0.0),
+    packed_sample(np.nan, 0.5, np.nan),
+    packed_sample(np.inf, -np.inf, 0.5),
+    np.full(2 * engine._PACKED_FROM, 0.25),
+    # the span overflows: the words cannot be formed, and nothing warns
+    packed_sample(-1e308, 1e308),
+], ids=["one-key-reversed", "signed-zeros", "nan", "infinities", "all-equal", "span-overflows"])
+def test_zero_based_ranks_packed_edge_cases(x):
     np.testing.assert_array_equal(zero_based_ranks(x), stable_ranks(x))
 
 
@@ -125,6 +153,16 @@ def test_simulate_equals_chain_of_euler_steps(init, horizon, n_full):
         # the Euler recursion, in the step kernel's order of operations
         x = drift[zero_based_ranks(x)] * dt + x + z * (cfg.sigma * np.sqrt(dt))
     assert simulate(cfg).positions.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("init", [InitRule(), IID_GAUSS], ids=["dirac", "iid"])
+def test_packed_ranks_keep_simulate_bitwise(init, monkeypatch):
+    # tests/test_golden.py pins small runs only; this run ranks with packed words
+    cfg = config(n_particles=2 * engine._PACKED_FROM, step=0.05, horizon=0.5, sigma=0.4,
+                 init=init, seed=21)
+    packed = simulate(cfg).positions
+    monkeypatch.setattr(engine, "zero_based_ranks", stable_ranks)
+    assert simulate(cfg).positions.tobytes() == packed.tobytes()
 
 
 # -- single steps ------------------------------------------------------------
@@ -320,10 +358,10 @@ def test_config_validation():
         config(seed=-1)
 
 
-def test_ensemble_validation():
-    with pytest.raises(ConfigError):
-        ParticleEnsemble(0.0, np.array([1.0, np.nan]))
-    with pytest.raises(ConfigError):
-        ParticleEnsemble(0.0, np.array([]))
-    with pytest.raises(ConfigError):
-        ParticleEnsemble(0.0, np.zeros((2, 2)))
+def test_overflow_at_packed_size_raises_numerical_error():
+    # the ensemble does not judge positions: simulate's own check does, also
+    # where the overflowing positions reach the packed-word ranking
+    cfg = config(n_particles=2 * engine._PACKED_FROM,
+                 flux=FluxFunction.polynomial((0.0, 1e308, 1e308)))
+    with pytest.raises(NumericalError, match="positions overflowed"):
+        simulate(cfg)
