@@ -214,19 +214,16 @@ def zero_based_ranks(positions: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _fractional_table(flux: FluxFunction, n: int) -> np.ndarray:
-    """Flux derivative at q/n per zero-based rank q, cached per (flux, n)."""
-    table = np.asarray(flux.derivative(np.arange(n, dtype=float) / n), dtype=float)
+def _drift_table(flux: FluxFunction, n: int, scheme: str) -> np.ndarray:
+    """Drift coefficient per zero-based rank q, cached per (flux, n, scheme)
+    and read-only: the flux derivative at q/n for the fractional scheme,
+    else the cell average over [(q-1)/n, q/n]."""
+    if scheme == FRACTIONAL_RANK:
+        table = np.asarray(flux.derivative(np.arange(n, dtype=float) / n), dtype=float)
+    else:
+        table = cell_average_speeds(flux, n, -1)
     table.setflags(write=False)
     return table
-
-
-def _drift_table(config: SimulationConfig) -> np.ndarray:
-    """Drift coefficient per zero-based rank q for the config's scheme."""
-    if config.scheme == FRACTIONAL_RANK:
-        return _fractional_table(config.flux, config.n_particles)
-    # rank q takes the cell average over [(q-1)/n, q/n]
-    return cell_average_speeds(config.flux, config.n_particles, -1)
 
 
 def _advance(x: np.ndarray, drift: np.ndarray, sigma: float, h: float, n_full: int,
@@ -292,7 +289,8 @@ def simulate(config: SimulationConfig,
         remainder = 0.0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = _advance(x, _drift_table(config), config.sigma, h, n_full, remainder, steps_rng)
+        drift = _drift_table(config.flux, n, config.scheme)
+        steps = _advance(x, drift, config.sigma, h, n_full, remainder, steps_rng)
         for k, x in enumerate(steps, 1):
             if snapshot is not None:
                 snapshot(k * h if k <= n_full else horizon, x.copy())

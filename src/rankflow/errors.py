@@ -20,7 +20,7 @@ class DomainError(ConfigError):
 
 
 class UnsupportedReferenceError(ConfigError):
-    """No exact reference solution is registered for the requested flux."""
+    """The flux has no exact reference solution: only Burgers has one."""
 
 
 class NumericalError(RankflowError, RuntimeError):

@@ -13,15 +13,11 @@ whose mean over ``i`` telescopes to ``flux(1) - flux(0)`` exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigError, DomainError
-
-BURGERS = "burgers"
-POLYNOMIAL = "polynomial"
 
 #: monomial coefficients of the Burgers flux -(1-u)^2 / 2
 _BURGERS_COEFFICIENTS = (-0.5, 1.0, -0.5)
@@ -34,7 +30,7 @@ class FluxFunction:
     ``coefficients`` are the monomial coefficients of the flux in ascending
     degree, and the flux's only stored value; the derivative coefficients
     are obtained symbolically so the derivative is exact, not a finite
-    difference.  ``kind`` is derived from them.  Trailing zero coefficients
+    difference.  ``is_burgers`` is derived from them.  Trailing zero coefficients
     are dropped (one is kept), so every spelling of a polynomial is one flux.
     """
 
@@ -69,10 +65,10 @@ class FluxFunction:
     # -- derived values ----------------------------------------------------
 
     @property
-    def kind(self) -> str:
-        """``burgers`` exactly for the Burgers coefficients (closed-form drift
-        table and exact reference), else ``polynomial``."""
-        return BURGERS if self.coefficients == _BURGERS_COEFFICIENTS else POLYNOMIAL
+    def is_burgers(self) -> bool:
+        """True exactly for the Burgers coefficients: the closed-form drift
+        table, and the flux with an exact reference solution."""
+        return self.coefficients == _BURGERS_COEFFICIENTS
 
     # -- evaluation --------------------------------------------------------
 
@@ -93,23 +89,19 @@ class FluxFunction:
         return u[()] if u.ndim == 0 else u
 
 
-@lru_cache(maxsize=64)
 def cell_average_speeds(flux: FluxFunction, n: int, first_cell: int) -> np.ndarray:
     """Speed averaged over the n cells [(i-1)/n, i/n], i = first_cell+1..first_cell+n.
 
     Each entry is n * (flux(i/n) - flux((i-1)/n)); cells outside [0, 1]
     extend the polynomial flux naturally.  The Burgers case uses the closed
     form 1 - (2i-1)/(2n), which avoids the cancellation of differencing the
-    flux at large n.  Cached per (flux, n, first_cell) and read-only.
+    flux at large n.
     """
-    if flux.kind == BURGERS:
+    if flux.is_burgers:
         i = np.arange(first_cell + 1, first_cell + n + 1, dtype=float)
-        coeffs = 1.0 - (2.0 * i - 1.0) / (2.0 * n)
-    else:
-        edges = np.arange(first_cell, first_cell + n + 1, dtype=float) / n
-        coeffs = n * np.diff(npoly.polyval(edges, flux.coefficients))
-    coeffs.setflags(write=False)
-    return coeffs
+        return 1.0 - (2.0 * i - 1.0) / (2.0 * n)
+    edges = np.arange(first_cell, first_cell + n + 1, dtype=float) / n
+    return n * np.diff(npoly.polyval(edges, flux.coefficients))
 
 
 def parse_flux(text: str) -> FluxFunction:

@@ -11,15 +11,17 @@ measure against the exact Burgers solution:
   of the mean, so the variance is estimated on B batches of R/B runs, per
   the delta method).
 
-A ``StudySpec`` builds and checks every row's run config, and the weak
-reference grid, before any run; ``run_study`` only runs them.  Runs are
+A ``StudySpec`` builds and checks every row's run config, the reference
+and the weak grid before any run; ``run_study`` runs row j of it with
+``strong_error_point(spec, j)`` or ``weak_error_point(spec, j)``.  Runs are
 independent: run r of sweep row j uses the seed derived from (base_seed,
 j, r), so tables are reproducible bit for bit; with paired seeds the row
 index is dropped and all rows share their Brownian noise.  Workers may
-execute in a process pool, but reduction always happens in run index
-order, which keeps results identical for every worker count.  A run hands
-its final positions, unsorted, to the estimator.  The harness writes
-nothing: ``rankflow.cli`` formats and writes every table.
+execute in a pool of at most one process per run, but reduction always
+happens in run index order, which keeps results identical for every
+worker count.  A run hands its final positions, unsorted, to the
+estimator.  The harness writes nothing: ``rankflow.cli`` formats and
+writes every table.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import numpy as np
 from .engine import SimulationConfig, simulate
 from .errors import ConfigError, NumericalError, UnsupportedReferenceError
 from .exact import BurgersSolution
-from .flux import BURGERS
 from .metrics import GridSpec, empirical_cdf_at, phi_grid, psi_grid_free
 from .stream import derive_seed
 
@@ -45,19 +46,13 @@ WEAK = "weak"
 SWEEP_N = "n"
 SWEEP_H = "h"
 
-#: exact reference solutions by flux kind
-EXACT_REFERENCES = {BURGERS: BurgersSolution}
 
-
-def get_reference(config: SimulationConfig):
-    """Exact solution matching the config's flux, or a clear error."""
-    try:
-        factory = EXACT_REFERENCES[config.flux.kind]
-    except KeyError:
+def get_reference(config: SimulationConfig) -> BurgersSolution:
+    """The exact solution of the config's law: Burgers is the only one."""
+    if not config.flux.is_burgers:
         raise UnsupportedReferenceError(
-            f"no exact reference solution registered for flux {config.flux.kind!r}"
-        ) from None
-    return factory(config.sigma)
+            "no exact reference solution registered for flux 'polynomial'")
+    return BurgersSolution(config.sigma)
 
 
 @dataclass(frozen=True)
@@ -67,7 +62,8 @@ class StudySpec:
     ``base`` carries the horizon, diffusion, flux (with an exact reference),
     scheme, initialization and base seed.  Derived: ``configs[j]`` is ``base``
     with the swept field set to row j's value and seed ``derive_seed(base.seed,
-    j)`` (``base.seed`` when paired); ``grid`` is the weak reference grid.
+    j)`` (``base.seed`` when paired); ``reference`` is the exact solution and
+    ``grid`` the weak reference grid.
     """
 
     kind: str
@@ -79,6 +75,7 @@ class StudySpec:
     grid_k: int = 5000
     paired_seeds: bool = False
     configs: tuple[SimulationConfig, ...] = field(init=False, compare=False)
+    reference: BurgersSolution = field(init=False, compare=False, repr=False)
     grid: Optional[GridSpec] = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -90,7 +87,7 @@ class StudySpec:
             raise ConfigError("sweep needs at least one value")
         if self.runs < 2:
             raise ConfigError("need at least 2 runs")
-        reference = get_reference(self.base)
+        object.__setattr__(self, "reference", get_reference(self.base))
         if self.kind == WEAK:
             if self.batches is None or self.batches < 2:
                 raise ConfigError("weak study needs at least 2 batches")
@@ -98,7 +95,7 @@ class StudySpec:
                 raise ConfigError("batches must divide runs")
             try:
                 grid = GridSpec.from_quantile(
-                    lambda u: reference.quantile(self.base.horizon, u), self.grid_k)
+                    lambda u: self.reference.quantile(self.base.horizon, u), self.grid_k)
             except ConfigError:
                 if self.grid_k < 2:
                     raise
@@ -111,11 +108,9 @@ class StudySpec:
 
     def _row(self, j: int, value) -> SimulationConfig:
         seed = self.base.seed if self.paired_seeds else derive_seed(self.base.seed, j)
+        name, cast = ("n_particles", int) if self.sweep == SWEEP_N else ("step", float)
         try:
-            if self.sweep == SWEEP_N:
-                config = replace(self.base, n_particles=int(value), seed=seed)
-            else:
-                config = replace(self.base, step=float(value), seed=seed)
+            config = replace(self.base, seed=seed, **{name: cast(value)})
         except (ValueError, OverflowError) as err:  # ConfigError is a ValueError
             raise ConfigError(f"sweep value {value}: {err}") from None
         if self.kind == STRONG and config.n_particles < 2:
@@ -169,7 +164,7 @@ def _map_runs(run, n_runs: int, threads: int) -> Iterator:
     if threads <= 1:
         yield from map(run, range(n_runs))
         return
-    with ProcessPoolExecutor(max_workers=threads, initializer=signal.signal,
+    with ProcessPoolExecutor(max_workers=min(threads, n_runs), initializer=signal.signal,
                              initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
         yield from pool.map(partial(_interruptible, run), range(n_runs))
 
@@ -181,28 +176,24 @@ def _kahan_add(total: np.ndarray, compensation: np.ndarray, term: np.ndarray) ->
     total[:] = t
 
 
-def strong_error_point(config: SimulationConfig, runs: int, *,
-                       threads: int = 1) -> tuple[float, float]:
-    """Mean grid-free W1 estimate over independent runs, with 95% half-width.
+def strong_error_point(spec: StudySpec, j: int, *, threads: int = 1) -> tuple[float, float]:
+    """Row j of a strong spec: mean grid-free W1 estimate, with 95% half-width.
 
-    Each run simulates the config with its derived seed and evaluates the
-    grid-free estimator of its final positions against the exact CDF at the
-    horizon.  The half-width is 1.96 * sqrt(sample variance / runs)
+    Each run simulates the row's config with its derived seed and evaluates
+    the grid-free estimator of its final positions against the exact CDF at
+    the horizon.  The half-width is 1.96 * sqrt(sample variance / runs)
     with the unbiased variance.
     """
-    if runs < 2:
-        raise ConfigError("need at least 2 runs")
-    reference = get_reference(config)
-    results = _map_runs(partial(_strong_run, config, reference), runs, threads)
+    runs = spec.runs
+    results = _map_runs(partial(_strong_run, spec.configs[j], spec.reference), runs, threads)
     values = np.fromiter(results, dtype=float, count=runs)
     estimation = float(np.mean(values))
     precision = 1.96 * float(np.sqrt(np.var(values, ddof=1) / runs))
     return estimation, precision
 
 
-def weak_error_point(config: SimulationConfig, runs: int, batches: int,
-                     grid: GridSpec, *, threads: int = 1) -> tuple[float, float]:
-    """Grid-based W1 estimate of the mean CDF vector, with batch precision.
+def weak_error_point(spec: StudySpec, j: int, *, threads: int = 1) -> tuple[float, float]:
+    """Row j of a weak spec: grid-based W1 estimate of the mean CDF vector.
 
     Per run, the empirical CDF of the final ensemble is evaluated at the K
     midpoint quantiles.  The estimate applies the grid estimator to the
@@ -212,17 +203,15 @@ def weak_error_point(config: SimulationConfig, runs: int, batches: int,
     runs-per-batch mean vector.  Run vectors are folded into B running
     sums as they arrive, so R x K storage is never materialized.
     """
-    if runs < 2 or batches < 2 or runs % batches != 0:
-        raise ConfigError("need runs >= 2, batches >= 2 and batches dividing runs")
-    get_reference(config)  # fail early if the flux has no reference
+    runs, batches, grid = spec.runs, spec.batches, spec.grid
     per_batch = runs // batches
     k = grid.k_points
 
     batch_sums = np.zeros((batches, k))
     total = np.zeros(k)
     compensation = np.zeros(k)
-    results = _map_runs(partial(_weak_run, config, grid.midpoint_quantiles), runs,
-                       threads)
+    results = _map_runs(partial(_weak_run, spec.configs[j], grid.midpoint_quantiles), runs,
+                        threads)
     for r, vector in enumerate(results):
         batch_sums[r // per_batch] += vector
         _kahan_add(total, compensation, vector)
@@ -237,14 +226,11 @@ def weak_error_point(config: SimulationConfig, runs: int, batches: int,
 def run_study(spec: StudySpec, *, threads: int = 1) -> tuple[StudyRow, ...]:
     """One table row per config the spec built, in sweep order; the ratio is
     the previous estimate over the row's own (none on the first row)."""
+    point = strong_error_point if spec.kind == STRONG else weak_error_point
     rows = []
-    for value, config in zip(spec.values, spec.configs):
+    for j, value in enumerate(spec.values):
         try:
-            if spec.kind == STRONG:
-                estimation, precision = strong_error_point(config, spec.runs, threads=threads)
-            else:
-                estimation, precision = weak_error_point(
-                    config, spec.runs, spec.batches, spec.grid, threads=threads)
+            estimation, precision = point(spec, j, threads=threads)
         except NumericalError as err:
             raise NumericalError(f"sweep value {value}: {err}") from err
         ratio = rows[-1].estimation / estimation if rows else None

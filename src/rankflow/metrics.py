@@ -61,8 +61,12 @@ def psi_grid_free(positions, exact_cdf: Callable[[np.ndarray], np.ndarray]) -> f
                       DegenerateInputWarning, stacklevel=2)
         return 0.0
     ref = np.asarray(exact_cdf(y), dtype=float)
+    # 0.5 * diff(y) * (|ref[1:] - levels| + |ref[:-1] - levels|), in place: 4 arrays at peak
     levels = np.arange(1, n) / n
-    terms = 0.5 * np.diff(y) * (np.abs(ref[1:] - levels) + np.abs(ref[:-1] - levels))
+    terms = np.subtract(ref[1:], levels)
+    np.abs(terms, out=terms)
+    terms += np.abs(np.subtract(ref[:-1], levels, out=levels), out=levels)
+    terms *= np.multiply(np.subtract(y[1:], y[:-1], out=levels), 0.5, out=levels)
     return float(np.sum(terms))
 
 

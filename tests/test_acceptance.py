@@ -86,7 +86,9 @@ def test_criterion_1_strong_error_vs_n(strong_n_table):
 
 
 def test_strong_error_reference_row_n16000():
-    est, prec = strong_error_point(base_config(n_particles=16_000), 100)
+    # one row with paired seeds runs the base config's own seed
+    spec = StudySpec("strong", base_config(), "n", (16_000,), runs=100, paired_seeds=True)
+    est, prec = strong_error_point(spec, 0)
     ref_est, ref_prec = STRONG_N_REFERENCE[16000]
     ok = abs(est - ref_est) <= 3.0 * ref_prec
     report("1b strong N=16000 row", ok,

@@ -225,9 +225,9 @@ def test_weak_custom_runs_get_default_batches(tmp_path, monkeypatch):
     batches = []
     point = cli.harness.weak_error_point
 
-    def counted(config, runs, b, grid, *, threads):
-        batches.append(b)
-        return point(config, runs, b, grid, threads=threads)
+    def counted(spec, j, *, threads):
+        batches.append(spec.batches)
+        return point(spec, j, threads=threads)
 
     monkeypatch.setattr(cli.harness, "weak_error_point", counted)
     out = tmp_path / "w.csv"

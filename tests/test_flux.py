@@ -5,6 +5,7 @@ import pytest
 
 from oracles import flux_value, lipschitz_speed, max_speed, rank_coefficients
 from rankflow import ConfigError, DomainError, FluxFunction, parse_flux
+from rankflow.engine import _drift_table
 
 CUBIC = FluxFunction.polynomial((0.2, -0.4, 0.1, 1.0 / 3.0))  # derivative u^2 + 0.2u - 0.4
 
@@ -75,12 +76,21 @@ def test_rank_coefficients_bounded_by_max_speed():
             assert np.max(np.abs(rank_coefficients(f, n))) <= max_speed(f) + 1e-15
 
 
-def test_rank_coefficients_cached_and_read_only():
+def test_drift_table_cached_and_read_only():
+    # one table per (flux, n, scheme): the same object on every call
     f = FluxFunction.burgers()
-    a = rank_coefficients(f, 64)
-    assert rank_coefficients(f, 64) is a
-    with pytest.raises(ValueError):
-        a[0] = 0.0
+    rank = _drift_table(f, 64, "rank")
+    frac = _drift_table(f, 64, "frac")
+    assert _drift_table(FluxFunction.burgers(), 64, "rank") is rank
+    assert _drift_table(f, 64, "frac") is frac
+    assert frac is not rank
+    assert _drift_table(f, 32, "rank") is not rank
+    # rank q takes the one-based cell average of cell q; frac the speed at q/n
+    np.testing.assert_array_equal(rank[1:], rank_coefficients(f, 64)[:-1])
+    np.testing.assert_array_equal(frac, f.derivative(np.arange(64) / 64))
+    for table in (rank, frac):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
 
 
 def test_polynomial_lipschitz_speed():
@@ -92,11 +102,11 @@ def test_polynomial_lipschitz_speed():
 
 
 def test_flux_is_its_coefficients():
-    # kind is derived; the coefficients are the only field
+    # is_burgers is derived; the coefficients are the only field
     assert [f.name for f in dataclasses.fields(FluxFunction)] == ["coefficients"]
-    assert FluxFunction.burgers().kind == "burgers"
+    assert FluxFunction.burgers().is_burgers
     for f in (FluxFunction.quadratic(), CUBIC, FluxFunction.polynomial((-0.5, 1.0, -0.5, 0.1))):
-        assert f.kind == "polynomial"
+        assert not f.is_burgers
     # trailing zero coefficients are dropped, keeping one: each polynomial is one flux
     assert FluxFunction.polynomial((1.0, 0.0, -0.0)) == FluxFunction.polynomial((1.0,))
     assert FluxFunction.polynomial((-0.5, 1.0, -0.5, 0.0)) == FluxFunction.burgers()
@@ -104,7 +114,7 @@ def test_flux_is_its_coefficients():
 
 
 def test_parse_flux():
-    assert parse_flux("burgers").kind == "burgers"
+    assert parse_flux("burgers").is_burgers
     assert parse_flux("quadratic") == FluxFunction.polynomial((0.0, 0.0, 0.5))
     p = parse_flux("poly:0.0,0.0,0.5")
     assert flux_value(p, 0.5) == 0.125
@@ -115,7 +125,7 @@ def test_parse_flux():
 
 def test_invalid_construction():
     assert FluxFunction.polynomial((-0.5, 1.0, -0.5)) == FluxFunction.burgers()
-    assert FluxFunction.polynomial((-0.5, 1.0, -0.5)).kind == "burgers"
+    assert FluxFunction.polynomial((-0.5, 1.0, -0.5)).is_burgers
     with pytest.raises(ConfigError):
         FluxFunction.polynomial(())
     with pytest.raises(ConfigError):

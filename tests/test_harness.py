@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 import rankflow.cli as cli
 import rankflow.harness as harness
@@ -29,15 +29,20 @@ def small_grid(k=50, t=1.0):
     return GridSpec.from_quantile(lambda u: sol.quantile(t, u), k)
 
 
+def one_row(kind, config, runs, **kw):
+    """A one-row spec that runs ``config`` itself: paired seeds keep its seed."""
+    return StudySpec(kind, config, "n", (config.n_particles,), runs, paired_seeds=True, **kw)
+
+
 # -- strong error point --------------------------------------------------------
 
 def test_strong_point_sigma_zero_degenerate(monkeypatch):
     # all runs are identical without noise, so the interval collapses; the
     # closed form needs sigma > 0, so pin a fixed reference CDF instead
     reference = _GaussianReference(1.0, speed=0.25)
-    monkeypatch.setitem(harness.EXACT_REFERENCES, "burgers", lambda sigma: reference)
+    monkeypatch.setattr(harness, "get_reference", lambda config: reference)
     cfg = burgers_config(sigma=0.0)
-    est, prec = strong_error_point(cfg, 5)
+    est, prec = strong_error_point(one_row("strong", cfg, 5), 0)
     assert prec == 0.0
     single = psi_grid_free(harness.simulate(cfg).positions, lambda x: reference.cdf(1.0, x))
     assert est == pytest.approx(single, abs=1e-15)
@@ -58,48 +63,26 @@ def test_strong_point_reproducible_by_hand():
                     * (abs(sol.cdf(1.0, x[1]) - 0.5) + abs(sol.cdf(1.0, x[0]) - 0.5)))
     mean = (psis[0] + psis[1]) / 2.0
     spread = 1.96 * np.sqrt(((psis[0] - mean) ** 2 + (psis[1] - mean) ** 2) / 1.0 / 2.0)
-    est, prec = strong_error_point(cfg, 2)
+    est, prec = strong_error_point(one_row("strong", cfg, 2), 0)
     assert est == pytest.approx(mean, abs=1e-14)
     assert prec == pytest.approx(spread, abs=1e-14)
-
-
-def test_strong_point_requires_reference():
-    cfg = burgers_config(flux=FluxFunction.quadratic())
-    with pytest.raises(UnsupportedReferenceError):
-        strong_error_point(cfg, 3)
-
-
-def test_strong_point_requires_two_runs():
-    with pytest.raises(ConfigError):
-        strong_error_point(burgers_config(), 1)
 
 
 # -- weak error point ----------------------------------------------------------
 
 def test_weak_point_identical_batches_zero_precision(monkeypatch):
-    monkeypatch.setitem(harness.EXACT_REFERENCES, "burgers",
-                        lambda sigma: _GaussianReference(1.0))
+    monkeypatch.setattr(harness, "get_reference", lambda config: _GaussianReference(1.0))
     cfg = burgers_config(sigma=0.0)
-    est, prec = weak_error_point(cfg, 4, 2, small_grid())
+    est, prec = weak_error_point(one_row("weak", cfg, 4, batches=2, grid_k=50), 0)
     assert prec == 0.0
     assert est >= 0.0
-
-
-def test_weak_point_validation():
-    grid = small_grid()
-    with pytest.raises(ConfigError):
-        weak_error_point(burgers_config(), 5, 2, grid)  # batches must divide runs
-    with pytest.raises(ConfigError):
-        weak_error_point(burgers_config(), 4, 1, grid)
-    with pytest.raises(UnsupportedReferenceError):
-        weak_error_point(burgers_config(flux=FluxFunction.quadratic()), 4, 2, grid)
 
 
 def test_weak_never_far_above_strong():
     # the mean profile is at least as close as the average distance
     cfg = burgers_config(n_particles=100, step=0.05)
-    strong_est, strong_prec = strong_error_point(cfg, 40)
-    weak_est, weak_prec = weak_error_point(cfg, 40, 4, small_grid(500))
+    strong_est, strong_prec = strong_error_point(one_row("strong", cfg, 40), 0)
+    weak_est, weak_prec = weak_error_point(one_row("weak", cfg, 40, batches=4, grid_k=500), 0)
     assert weak_est <= strong_est + strong_prec + weak_prec
 
 
@@ -143,6 +126,46 @@ def test_run_study_paired_seeds_share_noise():
     assert unpaired[0].estimation != unpaired[1].estimation
 
 
+def test_reference_fetched_once_per_spec(monkeypatch):
+    # the spec holds the reference; its rows never fetch it again
+    calls = []
+    fetch = harness.get_reference
+
+    def counted(config):
+        calls.append(config)
+        return fetch(config)
+
+    monkeypatch.setattr(harness, "get_reference", counted)
+    run_study(StudySpec("strong", burgers_config(), "n", (4, 8), 2))
+    assert len(calls) == 1
+    run_study(StudySpec("weak", burgers_config(), "n", (4, 8), 4, batches=2, grid_k=8))
+    assert len(calls) == 2
+
+
+def test_pool_has_no_more_workers_than_runs(monkeypatch):
+    # --threads 8 --runs 2 starts two processes; the fake pool maps in-process
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(harness, "_interruptible", lambda run, run_index: run(run_index))
+    spec = StudySpec("strong", burgers_config(), "n", (4,), 2)
+    assert run_study(spec, threads=8) == run_study(spec)
+    assert started == [2]
+
+
 def test_study_spec_validation():
     cfg = burgers_config()
     with pytest.raises(ConfigError):
@@ -161,6 +184,8 @@ def test_study_spec_validation():
         StudySpec("weak", cfg, "n", (4,), 5, batches=2)  # 2 does not divide 5
     with pytest.raises(ConfigError):
         StudySpec("weak", cfg, "n", (4,), 4, batches=None)
+    with pytest.raises(ConfigError):
+        StudySpec("weak", cfg, "n", (4,), 4, batches=1)
     with pytest.raises(UnsupportedReferenceError):
         StudySpec("strong", burgers_config(flux=FluxFunction.quadratic()), "n", (4,), 3)
     # every row is checked, not only the base: a weak row of no particles,
@@ -205,21 +230,26 @@ class _GaussianReference:
         return ndtr((np.asarray(x, dtype=float) - self.speed * t)
                     / (self.sigma * np.sqrt(t)))
 
+    def quantile(self, t, u):
+        return self.speed * t + self.sigma * np.sqrt(t) * ndtri(u)
+
 
 def test_interval_covers_known_model(monkeypatch):
     # rigged model with i.i.d. runs: drift is rank-free, the run law is exact,
     # and the truth is pinned by a pilot 500x larger than each replication
     flux = FluxFunction.polynomial((0.0, 1.0))
-    monkeypatch.setitem(harness.EXACT_REFERENCES, "polynomial",
-                        lambda sigma: _GaussianReference(sigma))
-    cfg = SimulationConfig(n_particles=16, step=1.0, horizon=1.0, sigma=1.0,
-                           flux=flux, seed=1000)
-    truth, _ = strong_error_point(cfg, 30000)
+    monkeypatch.setattr(harness, "get_reference",
+                        lambda config: _GaussianReference(config.sigma))
+
+    def point(seed, runs):
+        cfg = SimulationConfig(n_particles=16, step=1.0, horizon=1.0, sigma=1.0,
+                               flux=flux, seed=seed)
+        return strong_error_point(one_row("strong", cfg, runs), 0)
+
+    truth, _ = point(1000, 30000)
     covered = 0
     for m in range(100):
-        est, prec = strong_error_point(
-            SimulationConfig(n_particles=16, step=1.0, horizon=1.0, sigma=1.0,
-                             flux=flux, seed=derive_seed(777, m)), 60)
+        est, prec = point(derive_seed(777, m), 60)
         covered += int(abs(est - truth) <= prec)
     assert covered >= 90
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -117,6 +119,20 @@ def test_psi_iid_matches_exact_integral_oracle():
             exact += ((c - a) ** 2 + (b - c) ** 2) / 2.0
     estimate = psi_grid_free(y, uniform_cdf)
     assert abs(estimate - exact) <= 0.02 * exact
+
+
+def test_psi_peak_memory_is_four_arrays():
+    # the sorted sample, the reference CDF and two working arrays: the
+    # terms are formed in place, not as six temporaries
+    n = 100_000
+    x = np.random.default_rng(3).permutation(n) / n
+    tracemalloc.start()
+    try:
+        psi_grid_free(x, uniform_cdf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n * 8
 
 
 def test_psi_single_point_warns_and_returns_zero():
