@@ -18,7 +18,9 @@ tie-break hands out all n coefficients, so the ensemble immediately
 develops the rarefaction fan of the limiting profile.
 
 Positions leave the engine in original index order: the per-step ranking
-is its only sort, and :mod:`rankflow.metrics` sorts a final sample.
+is its only sort, and :mod:`rankflow.metrics` sorts a final sample.  A
+step scatters its drift table through that sort order, so the ranks are
+never stored.
 """
 
 from __future__ import annotations
@@ -183,12 +185,16 @@ def _packed_order(x: np.ndarray) -> Optional[np.ndarray]:
     return order
 
 
-def zero_based_ranks(positions: np.ndarray) -> np.ndarray:
+def zero_based_ranks(positions: np.ndarray, table: Optional[np.ndarray] = None) -> np.ndarray:
     """Strictly-smaller count with stable index tie-break; always 0..n-1.
 
     This is the rank that selects the drift coefficient: it is the number
     of strictly smaller particles, and tied particles get distinct
-    consecutive ranks in original index order.
+    consecutive ranks in original index order.  With a ``table`` of n
+    values it returns ``table[rank]`` for each particle instead, as a
+    fresh array, by scattering the table through the sort order
+    (``out[order] = table``).  Without one it scatters the index ramp,
+    which gives the ranks.
 
     Below ``_STABLE_BELOW`` values the order comes from the stable sort.
     From ``_PACKED_FROM`` on it comes from one value sort of packed
@@ -208,9 +214,11 @@ def zero_based_ranks(positions: np.ndarray) -> np.ndarray:
         order = x.argsort()
         if not _strictly_increasing(x[order]):
             order = x.argsort(kind="stable")
-    ranks = np.empty(n, dtype=np.intp)
-    ranks[order] = _index_ramp(n)
-    return ranks
+    if table is None:
+        table = _index_ramp(n)
+    out = np.empty(n, table.dtype)
+    out[order] = table
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -231,7 +239,9 @@ def _advance(x: np.ndarray, drift: np.ndarray, sigma: float, h: float, n_full: i
     """The Euler step kernel: yields the positions after every step.
 
     Takes ``n_full`` steps of length ``h``, then one of length ``last`` when
-    ``last > 0``; each step freezes the drift at the ranks of its input.
+    ``last > 0``; each step freezes the drift at the ranks of its input,
+    scattering the step's drift table through the input's sort order
+    (:func:`zero_based_ranks` with a table), so no ranks array is built.
     Increments are drawn whole steps at a time, one ``(rows, n)`` block per
     draw of at most ``_DRAW_BLOCK`` values (one row when n is larger), so
     particle i at step k still consumes position k*n + i of ``rng``'s
@@ -254,7 +264,7 @@ def _advance(x: np.ndarray, drift: np.ndarray, sigma: float, h: float, n_full: i
         for k, increment in enumerate(noise, first):
             if k == n_full:
                 step_drift = drift * last
-            moved = step_drift[zero_based_ranks(x)]
+            moved = zero_based_ranks(x, step_drift)
             moved += x
             moved += increment
             x = moved

@@ -51,7 +51,7 @@ def get_reference(config: SimulationConfig) -> BurgersSolution:
     """The exact solution of the config's law: Burgers is the only one."""
     if not config.flux.is_burgers:
         raise UnsupportedReferenceError(
-            "no exact reference solution registered for flux 'polynomial'")
+            "no exact reference solution for this flux: only the Burgers flux has one")
     return BurgersSolution(config.sigma)
 
 

@@ -5,7 +5,8 @@ sampling from one uniform stream per consumer, so that runs are
 reproducible bit for bit across platforms and thread counts:
 
 * uniforms are the open-interval lattice ``(j + 0.5) / 2**52`` where ``j``
-  is the top 52 bits (``next64 >> 12``) of one raw 64-bit PCG64 output.
+  is the top 52 bits (``next64 >> 12``) of one raw 64-bit PCG64 output,
+  formed exactly from exponent bits (:func:`open_uniforms`).
   ``numpy.random.Generator.random`` builds its double from the top 53 bits
   of the same output (``(next64 >> 11) * 2**-53``), so the lattice point is
   the top 52 bits of that double and the stream is consumed exactly as one
@@ -27,8 +28,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-#: spacing of the uniform lattice
-_ULP = 2.0**-52
+#: exponent bits of 1.0: OR-ed onto 52 fraction bits they give 1 + j * 2**-52
+_ONE_BITS = np.uint64(0x3FF0000000000000)
+
+#: 1 - 2**-53: subtracted from 1 + j * 2**-52 it leaves (j + 0.5) * 2**-52
+_ONE_MINUS_HALF_ULP = 1.0 - 2.0**-53
 
 
 def derive_seed(*path: int) -> int:
@@ -50,11 +54,18 @@ def open_uniforms(rng: np.random.Generator, size) -> np.ndarray:
     ``j`` is the top 52 bits of one raw PCG64 output per value, read from
     the bit generator: one output per value, as ``rng.random(size)`` takes,
     so both leave the stream at the same position.
+
+    The doubles are built in the raw array itself, with no integer to float
+    conversion: ``j`` OR-ed with the exponent bits of 1.0 is the double
+    ``1 + j * 2**-52`` (exact, as j < 2**52), and subtracting ``1 - 2**-53``
+    leaves ``(2j + 1) * 2**-53``, exact because that odd integer is below
+    2**53.
     """
     j = rng.bit_generator.random_raw(size)
     j >>= 12
-    u = j + 0.5
-    u *= _ULP
+    j |= _ONE_BITS
+    u = j.view(np.float64)
+    u -= _ONE_MINUS_HALF_ULP
     return u
 
 

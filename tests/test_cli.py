@@ -323,7 +323,7 @@ def test_unwritable_out_fails_before_any_run(monkeypatch, capsys):
     (["strong", "--sweep", "n:4", "--runs", "1", "--step", "0.5", "--out"],
      "need at least 2 runs"),
     (["strong", "--sweep", "n:4", "--runs", "2", "--flux", "quadratic", "--out"],
-     "no exact reference solution registered for flux 'polynomial'"),
+     "no exact reference solution for this flux: only the Burgers flux has one"),
     (["weak", "--sweep", "n:4", "--runs", "4", "--batches", "3", "--out"],
      "batches must divide runs"),
     (["strong", "--sweep", "n:4", "--runs", "2", "--threads", "0", "--out"],

@@ -62,10 +62,11 @@ def tie_heavy(sizes):
                      sizes, atoms.map(np.array), st.integers(0, 2**32 - 1))
 
 
-def stable_ranks(x):
+def stable_ranks(x, table=None):
+    """The stable-sort ranks of ``x``, or ``table`` gathered through them."""
     ranks = np.empty(x.size, dtype=np.intp)
     ranks[np.argsort(x, kind="stable")] = np.arange(x.size)
-    return ranks
+    return ranks if table is None else table[ranks]
 
 
 #: sample sizes on each side of the stable-sort and packed-word cut-overs
@@ -95,7 +96,7 @@ def packed_sample(*values):
     return np.concatenate([x, values])
 
 
-@pytest.mark.parametrize("x", [
+PACKED_EDGE_CASES = pytest.mark.parametrize("x", [
     # one ulp apart, one key, the larger value at the lower index
     packed_sample(np.nextafter(0.5, 1.0), 0.5),
     packed_sample(0.0, -0.0, 0.3, -0.0),
@@ -105,8 +106,57 @@ def packed_sample(*values):
     # the span overflows: the words cannot be formed, and nothing warns
     packed_sample(-1e308, 1e308),
 ], ids=["one-key-reversed", "signed-zeros", "nan", "infinities", "all-equal", "span-overflows"])
+
+
+@PACKED_EDGE_CASES
 def test_zero_based_ranks_packed_edge_cases(x):
     np.testing.assert_array_equal(zero_based_ranks(x), stable_ranks(x))
+
+
+#: cut-overs (_STABLE_BELOW, _PACKED_FROM) that send every size down one path
+RANKING_PATHS = {"stable": (2**62, 2**62), "simd": (0, 2**62), "packed": (0, 0)}
+
+
+def on_each_path(rank):
+    """``rank()`` once with every size sent down each of the three ranking paths."""
+    results = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for path, (stable_below, packed_from) in RANKING_PATHS.items():
+            patch.setattr(engine, "_STABLE_BELOW", stable_below)
+            patch.setattr(engine, "_PACKED_FROM", packed_from)
+            results[path] = rank()
+    return results
+
+
+def drift_like_table(n):
+    """n distinct read-only floats with a signed zero and a NaN among them."""
+    table = np.concatenate([[-0.0, np.nan], make_generator(n).standard_normal(n)])[:n]
+    table.setflags(write=False)
+    return table
+
+
+def assert_scatter_is_gather_through_ranks(x):
+    table = drift_like_table(x.size)
+    before = table.tobytes()
+    for path, (out, ranks) in on_each_path(
+            lambda: (zero_based_ranks(x, table), zero_based_ranks(x))).items():
+        assert ranks.tobytes() == stable_ranks(x).tobytes(), path
+        assert out.tobytes() == table[ranks].tobytes(), path
+        # the kernel adds to the result in place
+        assert out.flags.writeable and not np.shares_memory(out, table), path
+    assert table.tobytes() == before
+
+
+@settings(deadline=None)
+@given(tie_heavy(BOTH_SIDES))
+@example(np.tile([1.0, -0.0, 0.0], engine._STABLE_BELOW))
+def test_drift_scattered_through_the_order_equals_gather_through_ranks(x):
+    assert_scatter_is_gather_through_ranks(x)
+
+
+@PACKED_EDGE_CASES
+def test_drift_scatter_packed_edge_cases(x):
+    assert_scatter_is_gather_through_ranks(x)
 
 
 @settings(deadline=None)
