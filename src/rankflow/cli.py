@@ -103,7 +103,8 @@ def _add_study_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker processes (default: RANKFLOW_THREADS or 1)")
+                        help="worker processes, at most one per core and per run "
+                             "(default: RANKFLOW_THREADS or 1)")
     parser.add_argument("--full", action="store_true",
                         help="use the full-scale presets instead of the desk-scale ones")
     parser.add_argument("--paired-seeds", action="store_true",

@@ -6,11 +6,12 @@ smaller particles, ties broken by original index order), plus independent
 Brownian increments.  Two drift variants are supported:
 
 * rank coefficient (default): the cell average of the flux derivative,
-  ``n * (flux(q/n) - flux((q-1)/n))``, from
-  :func:`rankflow.flux.cell_average_speeds` with ``first_cell = -1``, one
-  cell below the one-based cell averages; the lowest cell reaches below
-  the unit interval, where the polynomial flux extends naturally;
+  ``n * (flux(q/n) - flux((q-1)/n))``, one cell below the one-based cell
+  averages; the lowest cell reaches below the unit interval, where the
+  polynomial flux extends naturally;
 * fractional rank: the flux derivative evaluated at q/n.
+
+:func:`_drift_table` is the one definition of both tables.
 
 For the Burgers flux the two variants differ by exactly 1/(2n) in every
 coefficient.  With all particles tied (the Dirac start) the stable
@@ -30,9 +31,10 @@ from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigError, NumericalError
-from .flux import FluxFunction, cell_average_speeds
+from .flux import FluxFunction
 from .initial import DiracAtZero, InitialDistribution, iid_positions, optimal_positions
 from .stream import derive_seed, make_generator, standard_normals
 
@@ -127,14 +129,6 @@ class ParticleEnsemble:
     positions: np.ndarray
 
 
-@lru_cache(maxsize=1)
-def _index_ramp(n: int) -> np.ndarray:
-    """``arange(n)`` as a read-only intp array, kept for the last n asked."""
-    ramp = np.arange(n, dtype=np.intp)
-    ramp.setflags(write=False)
-    return ramp
-
-
 def _strictly_increasing(xs: np.ndarray) -> bool:
     """True when every value is below the next; False at a tie or a NaN."""
     return np.count_nonzero(xs[:-1] < xs[1:]) == xs.size - 1
@@ -170,7 +164,7 @@ def _packed_order(x: np.ndarray) -> Optional[np.ndarray]:
         return None
     words = _fixed_point(x, lo, scale)
     words <<= np.uint64(b)
-    words |= _index_ramp(n).view(np.uint64)
+    words |= np.arange(n, dtype=np.uint64)
     words.sort()
     words &= np.uint64((1 << b) - 1)
     order = words.view(np.intp)
@@ -185,16 +179,14 @@ def _packed_order(x: np.ndarray) -> Optional[np.ndarray]:
     return order
 
 
-def zero_based_ranks(positions: np.ndarray, table: Optional[np.ndarray] = None) -> np.ndarray:
-    """Strictly-smaller count with stable index tie-break; always 0..n-1.
+def zero_based_ranks(positions: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``table[rank]`` for each particle, as a fresh array.
 
-    This is the rank that selects the drift coefficient: it is the number
-    of strictly smaller particles, and tied particles get distinct
-    consecutive ranks in original index order.  With a ``table`` of n
-    values it returns ``table[rank]`` for each particle instead, as a
-    fresh array, by scattering the table through the sort order
-    (``out[order] = table``).  Without one it scatters the index ramp,
-    which gives the ranks.
+    The rank selects the drift coefficient: it is the number of strictly
+    smaller particles, and tied particles get distinct consecutive ranks in
+    original index order.  The ranks are never stored: the n values of
+    ``table`` are scattered through the sort order (``out[order] = table``),
+    so ``table = arange(n)`` gives the ranks themselves.
 
     Below ``_STABLE_BELOW`` values the order comes from the stable sort.
     From ``_PACKED_FROM`` on it comes from one value sort of packed
@@ -214,8 +206,6 @@ def zero_based_ranks(positions: np.ndarray, table: Optional[np.ndarray] = None) 
         order = x.argsort()
         if not _strictly_increasing(x[order]):
             order = x.argsort(kind="stable")
-    if table is None:
-        table = _index_ramp(n)
     out = np.empty(n, table.dtype)
     out[order] = table
     return out
@@ -225,11 +215,14 @@ def zero_based_ranks(positions: np.ndarray, table: Optional[np.ndarray] = None) 
 def _drift_table(flux: FluxFunction, n: int, scheme: str) -> np.ndarray:
     """Drift coefficient per zero-based rank q, cached per (flux, n, scheme)
     and read-only: the flux derivative at q/n for the fractional scheme,
-    else the cell average over [(q-1)/n, q/n]."""
+    else the cell average over [(q-1)/n, q/n], in closed form for Burgers
+    (differencing the flux cancels at large n)."""
     if scheme == FRACTIONAL_RANK:
         table = np.asarray(flux.derivative(np.arange(n, dtype=float) / n), dtype=float)
+    elif flux.is_burgers:
+        table = 1.0 - (2.0 * np.arange(n, dtype=float) - 1.0) / (2.0 * n)
     else:
-        table = cell_average_speeds(flux, n, -1)
+        table = n * np.diff(npoly.polyval(np.arange(-1, n, dtype=float) / n, flux.coefficients))
     table.setflags(write=False)
     return table
 

@@ -1,13 +1,8 @@
-"""Flux functions of the conservation law and their rank-drift coefficients.
+"""Flux functions of the conservation law.
 
 A flux is a C^1 function on [0, 1] stored by its monomial coefficients; its
-derivative is the speed field that drives the particles.  The discrete
-drift coefficient of the particle of rank ``i`` among ``n`` is the cell
-average of the speed,
-
-    n * (flux(i/n) - flux((i-1)/n)),
-
-whose mean over ``i`` telescopes to ``flux(1) - flux(0)`` exactly.
+derivative is the speed field that drives the particles.  The drift table
+built from it lives in :mod:`rankflow.engine`.
 """
 
 from __future__ import annotations
@@ -87,21 +82,6 @@ class FluxFunction:
         if np.any(u < 0.0) or np.any(u > 1.0):
             raise DomainError("flux argument must lie in [0, 1]")
         return u[()] if u.ndim == 0 else u
-
-
-def cell_average_speeds(flux: FluxFunction, n: int, first_cell: int) -> np.ndarray:
-    """Speed averaged over the n cells [(i-1)/n, i/n], i = first_cell+1..first_cell+n.
-
-    Each entry is n * (flux(i/n) - flux((i-1)/n)); cells outside [0, 1]
-    extend the polynomial flux naturally.  The Burgers case uses the closed
-    form 1 - (2i-1)/(2n), which avoids the cancellation of differencing the
-    flux at large n.
-    """
-    if flux.is_burgers:
-        i = np.arange(first_cell + 1, first_cell + n + 1, dtype=float)
-        return 1.0 - (2.0 * i - 1.0) / (2.0 * n)
-    edges = np.arange(first_cell, first_cell + n + 1, dtype=float) / n
-    return n * np.diff(npoly.polyval(edges, flux.coefficients))
 
 
 def parse_flux(text: str) -> FluxFunction:

@@ -16,16 +16,17 @@ and the weak grid before any run; ``run_study`` runs row j of it with
 ``strong_error_point(spec, j)`` or ``weak_error_point(spec, j)``.  Runs are
 independent: run r of sweep row j uses the seed derived from (base_seed,
 j, r), so tables are reproducible bit for bit; with paired seeds the row
-index is dropped and all rows share their Brownian noise.  Workers may
-execute in a pool of at most one process per run, but reduction always
-happens in run index order, which keeps results identical for every
-worker count.  A run hands its final positions, unsorted, to the
-estimator.  The harness writes nothing: ``rankflow.cli`` formats and
-writes every table.
+index is dropped and all rows share their Brownian noise.  One worker,
+``_run``, simulates a run and applies the row's statistic to its final
+positions, unsorted.  Runs may execute in a pool of at most one process
+per run and per core, but reduction always happens in run index order,
+which keeps results identical for every worker count.  The harness
+writes nothing: ``rankflow.cli`` formats and writes every table.
 """
 
 from __future__ import annotations
 
+import os
 import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -126,19 +127,14 @@ class StudyRow:
     ratio: Optional[float]
 
 
-# -- per-run workers ---------------------------------------------------------
-#
-# Per-point inputs (config plus reference or grid abscissae) are bound with
-# functools.partial; a pool pickles that binding once per chunk of runs.
+def _run(config: SimulationConfig, statistic, run_index: int):
+    """``statistic`` of the final positions of run ``run_index`` of a row.
 
-def _strong_run(config: SimulationConfig, reference, run_index: int) -> float:
+    The row binds the statistic with functools.partial, so a pool pickles
+    the row's inputs once per chunk of runs.
+    """
     cfg = replace(config, seed=derive_seed(config.seed, run_index))
-    return psi_grid_free(simulate(cfg).positions, lambda x: reference.cdf(cfg.horizon, x))
-
-
-def _weak_run(config: SimulationConfig, midpoints: np.ndarray, run_index: int) -> np.ndarray:
-    cfg = replace(config, seed=derive_seed(config.seed, run_index))
-    return empirical_cdf_at(simulate(cfg).positions, midpoints)
+    return statistic(simulate(cfg).positions)
 
 
 def _interruptible(run, run_index: int):
@@ -158,13 +154,16 @@ def _map_runs(run, n_runs: int, threads: int) -> Iterator:
     """Stream run(0), ..., run(n_runs-1) in run-index order.
 
     With more than one thread a process pool decides where runs execute.
-    When the caller stops early (Ctrl-C, or a failed run), the runs not yet
-    started are cancelled.
+    The pool has at most one worker per run and per core the process may
+    use, and none when that is one.  When the caller stops early (Ctrl-C,
+    or a failed run), the runs not yet started are cancelled.
     """
-    if threads <= 1:
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, n_runs, cores or 1)
+    if workers <= 1:
         yield from map(run, range(n_runs))
         return
-    with ProcessPoolExecutor(max_workers=min(threads, n_runs), initializer=signal.signal,
+    with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
                              initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
         yield from pool.map(partial(_interruptible, run), range(n_runs))
 
@@ -184,8 +183,9 @@ def strong_error_point(spec: StudySpec, j: int, *, threads: int = 1) -> tuple[fl
     the horizon.  The half-width is 1.96 * sqrt(sample variance / runs)
     with the unbiased variance.
     """
-    runs = spec.runs
-    results = _map_runs(partial(_strong_run, spec.configs[j], spec.reference), runs, threads)
+    runs, config = spec.runs, spec.configs[j]
+    statistic = partial(psi_grid_free, exact_cdf=partial(spec.reference.cdf, config.horizon))
+    results = _map_runs(partial(_run, config, statistic), runs, threads)
     values = np.fromiter(results, dtype=float, count=runs)
     estimation = float(np.mean(values))
     precision = 1.96 * float(np.sqrt(np.var(values, ddof=1) / runs))
@@ -210,8 +210,8 @@ def weak_error_point(spec: StudySpec, j: int, *, threads: int = 1) -> tuple[floa
     batch_sums = np.zeros((batches, k))
     total = np.zeros(k)
     compensation = np.zeros(k)
-    results = _map_runs(partial(_weak_run, spec.configs[j], grid.midpoint_quantiles), runs,
-                        threads)
+    statistic = partial(empirical_cdf_at, x=grid.midpoint_quantiles)
+    results = _map_runs(partial(_run, spec.configs[j], statistic), runs, threads)
     for r, vector in enumerate(results):
         batch_sums[r // per_batch] += vector
         _kahan_add(total, compensation, vector)

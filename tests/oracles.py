@@ -20,7 +20,7 @@ from scipy.special import erfc, ndtri
 
 from rankflow.errors import ConfigError, DomainError
 from rankflow.exact import BurgersSolution
-from rankflow.flux import FluxFunction, cell_average_speeds
+from rankflow.flux import FluxFunction
 from rankflow.initial import DiracAtZero, Gaussian, InitialDistribution, Uniform
 
 _SQRT2 = np.sqrt(2.0)
@@ -118,9 +118,12 @@ def rank_coefficients(flux: FluxFunction, n: int) -> np.ndarray:
     """One-based cell averages n * (flux(i/n) - flux((i-1)/n)), i = 1..n.
 
     Their mean telescopes to flux(1) - flux(0).  The engine's ``rank``
-    scheme reads the same function one cell lower.
+    scheme reads the same cells one lower.  The Burgers flux takes the
+    closed form 1 - (2i-1)/(2n).
     """
-    return cell_average_speeds(flux, n, 0)
+    if flux.is_burgers:
+        return 1.0 - (2.0 * np.arange(1, n + 1, dtype=float) - 1.0) / (2.0 * n)
+    return n * np.diff(npoly.polyval(np.arange(n + 1, dtype=float) / n, flux.coefficients))
 
 
 # -- exact solution ----------------------------------------------------------

@@ -10,7 +10,6 @@ from rankflow import (BurgersSolution, ConfigError, FluxFunction, Gaussian, Init
                       empirical_cdf_at, optimal_positions, psi_grid_free, simulate)
 from rankflow import engine
 from rankflow.engine import FRACTIONAL_RANK, IID, MAX_STEPS, OPTIMAL, zero_based_ranks
-from rankflow.flux import cell_average_speeds
 from rankflow.stream import derive_seed, make_generator, standard_normals
 
 BURGERS = FluxFunction.burgers()
@@ -36,17 +35,22 @@ def test_rank_counts_single():
     np.testing.assert_array_equal(rank_counts(np.array([5.0])), [1])
 
 
+def ranks(x):
+    """The zero-based ranks of ``x``: the index ramp scattered through its order."""
+    return zero_based_ranks(x, np.arange(x.size))
+
+
 def test_zero_based_ranks_distinct_match_counts():
     # sizes on each side of the stable-sort and packed-word cut-overs
     for n in (50, engine._STABLE_BELOW - 1, engine._STABLE_BELOW, 1000,
               engine._PACKED_FROM, 2 * engine._PACKED_FROM):
         x = make_generator(n).random(n)
-        np.testing.assert_array_equal(zero_based_ranks(x), rank_counts(x) - 1)
+        np.testing.assert_array_equal(ranks(x), rank_counts(x) - 1)
 
 
 def test_zero_based_ranks_break_ties_by_index():
-    np.testing.assert_array_equal(zero_based_ranks(np.zeros(4)), [0, 1, 2, 3])
-    np.testing.assert_array_equal(zero_based_ranks(np.array([1.0, 0.0, 1.0])), [1, 0, 2])
+    np.testing.assert_array_equal(ranks(np.zeros(4)), [0, 1, 2, 3])
+    np.testing.assert_array_equal(ranks(np.array([1.0, 0.0, 1.0])), [1, 0, 2])
 
 
 def tie_heavy(sizes):
@@ -81,7 +85,7 @@ BOTH_SIDES = st.one_of(st.integers(1, engine._STABLE_BELOW - 1),
 def test_zero_based_ranks_equal_stable_argsort_ranks(x):
     # from the cut-over on, the SIMD sort orders tied values arbitrarily:
     # only the tie fallback gives the stable ranks
-    np.testing.assert_array_equal(zero_based_ranks(x), stable_ranks(x))
+    np.testing.assert_array_equal(ranks(x), stable_ranks(x))
 
 
 def packed_sample(*values):
@@ -110,7 +114,7 @@ PACKED_EDGE_CASES = pytest.mark.parametrize("x", [
 
 @PACKED_EDGE_CASES
 def test_zero_based_ranks_packed_edge_cases(x):
-    np.testing.assert_array_equal(zero_based_ranks(x), stable_ranks(x))
+    np.testing.assert_array_equal(ranks(x), stable_ranks(x))
 
 
 #: cut-overs (_STABLE_BELOW, _PACKED_FROM) that send every size down one path
@@ -138,10 +142,10 @@ def drift_like_table(n):
 def assert_scatter_is_gather_through_ranks(x):
     table = drift_like_table(x.size)
     before = table.tobytes()
-    for path, (out, ranks) in on_each_path(
-            lambda: (zero_based_ranks(x, table), zero_based_ranks(x))).items():
-        assert ranks.tobytes() == stable_ranks(x).tobytes(), path
-        assert out.tobytes() == table[ranks].tobytes(), path
+    for path, (out, rank) in on_each_path(
+            lambda: (zero_based_ranks(x, table), ranks(x))).items():
+        assert rank.tobytes() == stable_ranks(x).tobytes(), path
+        assert out.tobytes() == table[rank].tobytes(), path
         # the kernel adds to the result in place
         assert out.flags.writeable and not np.shares_memory(out, table), path
     assert table.tobytes() == before
@@ -198,10 +202,10 @@ def test_simulate_equals_chain_of_euler_steps(init, horizon, n_full):
         steps.append(last)
     x = init.positions(n, make_generator(derive_seed(cfg.seed, 0)))
     noise = standard_normals(make_generator(derive_seed(cfg.seed, 1)), (len(steps), n))
-    drift = cell_average_speeds(cfg.flux, n, -1)
+    drift = engine._drift_table(cfg.flux, n, cfg.scheme)
     for dt, z in zip(steps, noise):
         # the Euler recursion, in the step kernel's order of operations
-        x = drift[zero_based_ranks(x)] * dt + x + z * (cfg.sigma * np.sqrt(dt))
+        x = drift[ranks(x)] * dt + x + z * (cfg.sigma * np.sqrt(dt))
     assert simulate(cfg).positions.tobytes() == x.tobytes()
 
 

@@ -77,20 +77,21 @@ def test_rank_coefficients_bounded_by_max_speed():
 
 
 def test_drift_table_cached_and_read_only():
-    # one table per (flux, n, scheme): the same object on every call
-    f = FluxFunction.burgers()
-    rank = _drift_table(f, 64, "rank")
-    frac = _drift_table(f, 64, "frac")
-    assert _drift_table(FluxFunction.burgers(), 64, "rank") is rank
-    assert _drift_table(f, 64, "frac") is frac
-    assert frac is not rank
-    assert _drift_table(f, 32, "rank") is not rank
-    # rank q takes the one-based cell average of cell q; frac the speed at q/n
-    np.testing.assert_array_equal(rank[1:], rank_coefficients(f, 64)[:-1])
-    np.testing.assert_array_equal(frac, f.derivative(np.arange(64) / 64))
-    for table in (rank, frac):
-        with pytest.raises(ValueError):
-            table[0] = 0.0
+    # the closed-form Burgers table and the differenced polynomial one
+    for f in (FluxFunction.burgers(), CUBIC):
+        # one table per (flux, n, scheme): the same object on every call
+        rank = _drift_table(f, 64, "rank")
+        frac = _drift_table(f, 64, "frac")
+        assert _drift_table(FluxFunction(f.coefficients), 64, "rank") is rank
+        assert _drift_table(f, 64, "frac") is frac
+        assert frac is not rank
+        assert _drift_table(f, 32, "rank") is not rank
+        # rank q takes the one-based cell average of cell q; frac the speed at q/n
+        np.testing.assert_array_equal(rank[1:], rank_coefficients(f, 64)[:-1])
+        np.testing.assert_array_equal(frac, f.derivative(np.arange(64) / 64))
+        for table in (rank, frac):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
 
 def test_polynomial_lipschitz_speed():

@@ -142,13 +142,14 @@ def test_reference_fetched_once_per_spec(monkeypatch):
     assert len(calls) == 2
 
 
-def test_pool_has_no_more_workers_than_runs(monkeypatch):
-    # --threads 8 --runs 2 starts two processes; the fake pool maps in-process
-    started = []
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Every pool maps in-process; returns the ``max_workers`` of each pool built."""
+    built = []
 
     class FakePool:
         def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
+            built.append(max_workers)
 
         def __enter__(self):
             return self
@@ -161,9 +162,30 @@ def test_pool_has_no_more_workers_than_runs(monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(harness, "_interruptible", lambda run, run_index: run(run_index))
+    return built
+
+
+def pin_cores(monkeypatch, cores):
+    """The process may run on ``cores`` only, as the harness sees it."""
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: cores, raising=False)
+
+
+def test_pool_has_no_more_workers_than_runs(fake_pool, monkeypatch):
+    # --threads 8 --runs 2 starts two processes, on a host with more cores
+    pin_cores(monkeypatch, set(range(8)))
     spec = StudySpec("strong", burgers_config(), "n", (4,), 2)
     assert run_study(spec, threads=8) == run_study(spec)
-    assert started == [2]
+    assert fake_pool == [2]
+
+
+@pytest.mark.parametrize("cores, pools", [({0, 1}, [2]), ({0}, [])], ids=["two", "one"])
+def test_pool_has_no_more_workers_than_cores(fake_pool, monkeypatch, cores, pools):
+    # --threads 100000 --runs 4 would fork 100000 processes without the bound;
+    # on one core no pool is built at all
+    pin_cores(monkeypatch, cores)
+    spec = StudySpec("strong", burgers_config(), "n", (4,), 4)
+    assert run_study(spec, threads=100000) == run_study(spec)
+    assert fake_pool == pools
 
 
 def test_study_spec_validation():
