@@ -11,12 +11,14 @@ Each command validates its inputs, then opens its destination through
 ``_output``, the one writer of every file, and only then runs: a bad flag
 touches no file, and a bad path fails before the work.  For a study the
 inputs are the whole ``harness.StudySpec``: every sweep row's config and
-the weak reference grid.
+the weak reference grid.  Every command also checks, before it allocates
+anything, that its arrays fit in physical memory (``harness.check_memory``).
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures (a run whose positions overflow among them), on running out of
-memory and on a worker process that died, 130 on Ctrl-C (SIGINT), the
-shell's convention for an interrupt.
+Exit codes: 0 on success, 2 on configuration errors (arrays that cannot
+fit among them), 3 on numerical failures (a run whose positions overflow
+among them), on an allocation that fails all the same and on a worker
+process that died, 130 on Ctrl-C (SIGINT), the shell's convention for an
+interrupt.
 """
 
 from __future__ import annotations
@@ -219,6 +221,7 @@ def _table_lines(table: tuple[harness.StudyRow, ...], fmt: str) -> Iterator[str]
 
 def _cmd_simulate(args) -> int:
     config = _config(args, args.particles, args.step)
+    harness.check_memory(particles=config.n_particles)
     if args.emit_positions is None:
         final = simulate(config)
     else:
@@ -239,6 +242,7 @@ def _cmd_exact(args) -> int:
     if not 0.0 < args.horizon < np.inf:
         raise ConfigError("--horizon must be finite and > 0")
     solution = BurgersSolution(_sigma(args))
+    harness.check_memory(cells=args.grid)
     with _output(args.out) as write:
         levels = np.arange(1, args.grid) / args.grid
         quantiles = solution.quantile(args.horizon, levels)

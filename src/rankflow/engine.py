@@ -62,8 +62,8 @@ _STABLE_BELOW = 128
 
 #: from this many particles on the order comes from one sort of packed
 #: key|index words.  On the positions of successive simulation steps it
-#: breaks even with the SIMD argsort near N=1700 and is about 5% faster at
-#: N=2000, 20% at N=4000.
+#: breaks even with the SIMD argsort between N=1900 and N=2048 and is about
+#: 10% faster at N=2500, 20% at N=4000.
 _PACKED_FROM = 2048
 
 
@@ -141,41 +141,46 @@ def _fixed_point(x: np.ndarray, lo: float, scale: float) -> np.ndarray:
     return keys.astype(np.uint64)
 
 
-def _packed_order(x: np.ndarray) -> Optional[np.ndarray]:
+def _packed_order(x: np.ndarray) -> np.ndarray | slice | None:
     """The stable sort order of ``x`` from one value sort of uint64 words.
 
     Word i holds the fixed-point key ``(x[i] - min) * 2**(63-b) / (max - min)``
     (truncated) in its high bits and i in its low ``b`` bits.  The key is
     monotone in x, so the sorted words order x correctly except inside a
-    run of equal keys, where they fall back to index order.  That order is
-    the stable one when the values come out strictly increasing.  Else
-    every run of equal keys is re-sorted stably by value; values under
+    run of equal keys, where they fall back to index order.  When the
+    sorted keys are strictly increasing, ``key(a) < key(b)`` implies
+    ``a < b`` and the order is the unique sorting permutation, so no value
+    is gathered to check it.  Else the values of every run of equal keys,
+    and only those, are gathered and re-sorted stably; values under
     distinct keys are strictly ordered, so that gives the stable order,
-    ties included.  None when the span is zero or not finite (a tie of
-    every value, a NaN, an infinity or an overflowing difference).
+    ties included.  ``slice(None)``, the identity order, when every value
+    is equal (``-0.0`` and ``+0.0`` among them); None when the span is not
+    finite (a NaN, an infinity or an overflowing difference).
     """
     n = x.size
     lo, hi = float(x.min()), float(x.max())
+    if lo == hi:  # a NaN makes both NaN, which is never equal
+        return slice(None)
     b = (n - 1).bit_length()
     span = hi - lo
     # the scale overflows for a span below 2**(63-b) / 1.8e308
-    scale = 2.0 ** (63 - b) / span if 0.0 < span < np.inf else np.inf
+    scale = 2.0 ** (63 - b) / span if span < np.inf else np.inf
     if scale == np.inf:
         return None
     words = _fixed_point(x, lo, scale)
     words <<= np.uint64(b)
     words |= np.arange(n, dtype=np.uint64)
     words.sort()
+    keys = words >> np.uint64(b)
     words &= np.uint64((1 << b) - 1)
     order = words.view(np.intp)
-    xs = x[order]
-    if _strictly_increasing(xs):
+    collided = keys[:-1] == keys[1:]
+    if not np.count_nonzero(collided):
         return order
     # all runs at once: the runs lie in key order, and so in value order
-    keys = _fixed_point(xs, lo, scale)
-    shared = np.flatnonzero(keys[:-1] == keys[1:])
+    shared = np.flatnonzero(collided)
     runs = np.union1d(shared, shared + 1)
-    order[runs] = order[runs[xs[runs].argsort(kind="stable")]]
+    order[runs] = order[runs[x[order[runs]].argsort(kind="stable")]]
     return order
 
 
@@ -190,13 +195,15 @@ def zero_based_ranks(positions: np.ndarray, table: np.ndarray) -> np.ndarray:
 
     Below ``_STABLE_BELOW`` values the order comes from the stable sort.
     From ``_PACKED_FROM`` on it comes from one value sort of packed
-    key|index words (:func:`_packed_order`), which is exact.  In between,
-    and when the packed words cannot be formed, it comes from numpy's
-    default (SIMD, unstable) sort, which is faster there.  Without ties
-    every correct sort yields the same permutation; only when the sorted
-    values are not strictly increasing (an exact tie, which includes
-    ``-0.0`` against ``+0.0``, or a NaN) is the order redone with the
-    stable sort, so the ranks are those of the stable sort in every case.
+    key|index words (:func:`_packed_order`), which is exact, or is the
+    identity slice when every value ties (the Dirac step), so the scatter
+    is a plain copy.  In between, and when the packed words cannot be
+    formed, it comes from numpy's default (SIMD, unstable) sort, which is
+    faster there.  Without ties every correct sort yields the same
+    permutation; only when the sorted values are not strictly increasing
+    (an exact tie, which includes ``-0.0`` against ``+0.0``, or a NaN) is
+    the order redone with the stable sort, so the ranks are those of the
+    stable sort in every case.
     """
     x = np.asarray(positions, dtype=float)
     n = x.size

@@ -12,7 +12,9 @@ measure against the exact Burgers solution:
   the delta method).
 
 A ``StudySpec`` builds and checks every row's run config, the reference
-and the weak grid before any run; ``run_study`` runs row j of it with
+and the weak grid before any run, and checks that the study's arrays fit
+in physical memory (``check_memory``) before it builds the grid;
+``run_study`` runs row j of it with
 ``strong_error_point(spec, j)`` or ``weak_error_point(spec, j)``.  Runs are
 independent: run r of sweep row j uses the seed derived from (base_seed,
 j, r), so tables are reproducible bit for bit; with paired seeds the row
@@ -46,6 +48,46 @@ WEAK = "weak"
 
 SWEEP_N = "n"
 SWEEP_H = "h"
+
+#: peak bytes per particle of one run, the step kernel and the strong
+#: estimator together: 49 under tracemalloc at N=500000, seven arrays of
+#: float64 rounded up
+_BYTES_PER_PARTICLE = 56
+
+#: peak bytes per cell of the exact-quantile bisection of a weak grid: 67
+#: under tracemalloc at K=5000 and at K=10**6, rounded up
+_BYTES_PER_CELL = 72
+
+
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory of the host, None where it cannot be read."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
+
+
+def check_memory(*, particles: int = 0, workers: int = 1, cells: int = 0,
+                 batches: int = 0) -> None:
+    """ConfigError when a command's arrays would not fit in physical memory.
+
+    Called once per command, before anything is allocated.  The need is
+    ``workers`` runs of ``particles`` each, the bisection of ``cells``
+    exact quantiles and ``batches`` running sums of ``cells`` values.  The
+    limit is only read, never set.
+    """
+    need = workers * particles * _BYTES_PER_PARTICLE + cells * (_BYTES_PER_CELL + 8 * batches)
+    limit = _physical_memory()
+    if limit is not None and need > limit:
+        raise ConfigError(f"this command needs about {-(-need >> 20):,} MiB of memory, "
+                          f"more than the {limit >> 20:,} MiB of physical memory")
+
+
+def _cores() -> int:
+    """Cores this process may use."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cores or 1
 
 
 def get_reference(config: SimulationConfig) -> BurgersSolution:
@@ -89,11 +131,19 @@ class StudySpec:
         if self.runs < 2:
             raise ConfigError("need at least 2 runs")
         object.__setattr__(self, "reference", get_reference(self.base))
-        if self.kind == WEAK:
+        weak = self.kind == WEAK
+        if weak:
             if self.batches is None or self.batches < 2:
                 raise ConfigError("weak study needs at least 2 batches")
             if self.runs % self.batches != 0:
                 raise ConfigError("batches must divide runs")
+        object.__setattr__(self, "configs", tuple(
+            self._row(j, value) for j, value in enumerate(self.values)))
+        # as many runs at once as the largest pool this host allows
+        check_memory(particles=max(c.n_particles for c in self.configs),
+                     workers=min(self.runs, _cores()),
+                     cells=self.grid_k if weak else 0, batches=self.batches if weak else 0)
+        if weak:
             try:
                 grid = GridSpec.from_quantile(
                     lambda u: self.reference.quantile(self.base.horizon, u), self.grid_k)
@@ -104,8 +154,6 @@ class StudySpec:
                                   f"cannot separate K = {self.grid_k} grid cells in double "
                                   "precision") from None
             object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "configs", tuple(
-            self._row(j, value) for j, value in enumerate(self.values)))
 
     def _row(self, j: int, value) -> SimulationConfig:
         seed = self.base.seed if self.paired_seeds else derive_seed(self.base.seed, j)
@@ -158,8 +206,7 @@ def _map_runs(run, n_runs: int, threads: int) -> Iterator:
     use, and none when that is one.  When the caller stops early (Ctrl-C,
     or a failed run), the runs not yet started are cancelled.
     """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, n_runs, cores or 1)
+    workers = min(threads, n_runs, _cores())
     if workers <= 1:
         yield from map(run, range(n_runs))
         return

@@ -410,14 +410,46 @@ def test_exact_at_tiny_viscosity_exits_zero():
     assert done.stdout.splitlines()[0] == "u,quantile"
 
 
-def test_out_of_memory_exits_three():
-    # 10**15 particles need more bytes than any 64-bit user address space
-    # holds, so the first allocation fails without touching memory
-    done = run_cli_process(["simulate", "--particles", str(10**15), "--step", "0.5"])
-    assert done.returncode == 3
-    assert done.stdout == ""
-    assert done.stderr.startswith("rankflow: out of memory: ")
-    assert done.stderr.count("\n") == 1
+def test_out_of_memory_exits_three(capsys, monkeypatch):
+    # past an unreadable memory limit the run starts; 10**15 particles need
+    # more bytes than any 64-bit user address space holds, so the first
+    # allocation fails without touching memory
+    monkeypatch.setattr(cli.harness, "_physical_memory", lambda: None)
+    assert run_cli(["simulate", "--particles", str(10**15), "--step", "0.5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("rankflow: out of memory: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--particles", "100000", "--step", "0.5", "--emit-positions"],
+    ["strong", "--sweep", "n:4,100000", "--runs", "2", "--step", "0.5", "--out"],
+    ["weak", "--sweep", "n:4", "--runs", "4", "--batches", "2", "--step", "0.5",
+     "--grid", "100000", "--out"],
+    # the grid alone fits: its 200 batch sums do not
+    ["weak", "--sweep", "n:4", "--runs", "200", "--batches", "200", "--step", "0.5",
+     "--grid", "1000", "--out"],
+    ["exact", "--grid", "100000", "--out"],
+], ids=["simulate-particles", "strong-particles", "weak-grid", "weak-batch-sums", "exact-grid"])
+def test_oversized_command_exits_two_before_any_allocation(tmp_path, capsys, monkeypatch,
+                                                           args):
+    # a 1 MiB host: the command is refused before any run, grid or quantile
+    def allocates(*_, **__):
+        raise AssertionError("allocated past the memory check")
+
+    monkeypatch.setattr(cli.harness, "_physical_memory", lambda: 2**20)
+    for owner, name in [(cli.harness, "simulate"), (cli, "simulate"),
+                        (rankflow.GridSpec, "from_quantile"), (BurgersSolution, "quantile")]:
+        monkeypatch.setattr(owner, name, allocates)
+    out = tmp_path / "kept.csv"
+    out.write_text("kept\n")
+    assert run_cli(args + [str(out)]) == 2
+    assert out.read_text() == "kept\n"
+    err = capsys.readouterr().err
+    assert err.startswith("rankflow: this command needs about ")
+    assert err.endswith(" MiB of memory, more than the 1 MiB of physical memory\n")
+    assert err.count("\n") == 1
 
 
 def test_dead_worker_exits_three(tmp_path):

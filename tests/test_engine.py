@@ -103,18 +103,38 @@ def packed_sample(*values):
 PACKED_EDGE_CASES = pytest.mark.parametrize("x", [
     # one ulp apart, one key, the larger value at the lower index
     packed_sample(np.nextafter(0.5, 1.0), 0.5),
+    # one ulp apart, one key, already in index order: the keys collide
+    packed_sample(0.5, np.nextafter(0.5, 1.0)),
     packed_sample(0.0, -0.0, 0.3, -0.0),
     packed_sample(np.nan, 0.5, np.nan),
     packed_sample(np.inf, -np.inf, 0.5),
     np.full(2 * engine._PACKED_FROM, 0.25),
+    # the Dirac start, signed zeros alone and infinities alone tie every value
+    np.zeros(2 * engine._PACKED_FROM),
+    make_generator(5).choice([-0.0, 0.0], 2 * engine._PACKED_FROM),
+    np.full(2 * engine._PACKED_FROM, np.inf),
     # the span overflows: the words cannot be formed, and nothing warns
     packed_sample(-1e308, 1e308),
-], ids=["one-key-reversed", "signed-zeros", "nan", "infinities", "all-equal", "span-overflows"])
+], ids=["one-key-reversed", "one-key-ordered", "signed-zeros", "nan", "infinities",
+        "all-equal", "dirac", "only-signed-zeros", "all-inf", "span-overflows"])
 
 
 @PACKED_EDGE_CASES
 def test_zero_based_ranks_packed_edge_cases(x):
     np.testing.assert_array_equal(ranks(x), stable_ranks(x))
+
+
+def test_all_equal_step_forms_no_words(monkeypatch):
+    # the Dirac step takes the identity order: no key, no sort, a plain copy
+    def forms_words(*args):
+        raise AssertionError("packed words formed")
+
+    monkeypatch.setattr(engine, "_fixed_point", forms_words)
+    table = drift_like_table(2 * engine._PACKED_FROM)
+    out = zero_based_ranks(np.zeros(table.size), table)
+    assert out.tobytes() == table.tobytes()
+    assert out.flags.writeable
+    assert not np.shares_memory(out, table)
 
 
 #: cut-overs (_STABLE_BELOW, _PACKED_FROM) that send every size down one path

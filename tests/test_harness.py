@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,10 +8,12 @@ from scipy.special import ndtr, ndtri
 
 import rankflow.cli as cli
 import rankflow.harness as harness
-from rankflow import (BurgersSolution, ConfigError, FluxFunction, GridSpec,
-                      NumericalError, SimulationConfig, StudyRow, StudySpec,
+from rankflow import (BurgersSolution, ConfigError, FluxFunction, Gaussian, GridSpec,
+                      InitRule, NumericalError, SimulationConfig, StudyRow, StudySpec,
                       UnsupportedReferenceError, run_study, strong_error_point,
                       weak_error_point)
+from rankflow import engine
+from rankflow.engine import IID
 from rankflow.metrics import psi_grid_free
 from rankflow.stream import derive_seed, make_generator, standard_normals
 
@@ -216,6 +220,50 @@ def test_study_spec_validation():
         StudySpec("weak", cfg, "n", (4, 0), 4, batches=2, grid_k=8)
     with pytest.raises(ConfigError, match=r"sweep value 2: need 0 < step <= horizon"):
         StudySpec("strong", cfg, "h", (0.5, 2), 3)
+
+
+def traced_peak(work) -> int:
+    """Peak bytes that tracemalloc sees while ``work()`` runs."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_model_bounds_the_measured_peaks(monkeypatch):
+    # the bytes per particle bound one strong run (step kernel and estimator),
+    # the bytes per cell one weak grid's exact-quantile bisection
+    n, k = 70_000, 20_000
+    monkeypatch.setattr(engine, "_drift_table", engine._drift_table.__wrapped__)
+    config = burgers_config(n_particles=n, init=InitRule(IID, Gaussian(0.0, 1.0)))
+    statistic = partial(psi_grid_free, exact_cdf=partial(BurgersSolution(SIGMA).cdf, 1.0))
+    assert 0.75 * harness._BYTES_PER_PARTICLE < traced_peak(
+        lambda: harness._run(config, statistic, 0)) / n <= harness._BYTES_PER_PARTICLE
+    assert 0.75 * harness._BYTES_PER_CELL < traced_peak(
+        lambda: small_grid(k)) / k <= harness._BYTES_PER_CELL
+
+
+@pytest.mark.parametrize("cores, workers", [({0}, 1), ({0, 1, 2}, 3), (set(range(8)), 4)],
+                         ids=["one-core", "three-cores", "more-cores-than-runs"])
+def test_study_spec_checks_memory_before_the_grid(monkeypatch, cores, workers):
+    # one run's arrays per worker the pool may start, plus the bisection
+    # and the batch sums of the weak grid; nothing is built past the limit
+    pin_cores(monkeypatch, cores)
+
+    def build_grid(*_):
+        raise AssertionError("the weak grid is built")
+
+    monkeypatch.setattr(GridSpec, "from_quantile", build_grid)
+    need = (workers * 1000 * harness._BYTES_PER_PARTICLE
+            + 300 * (harness._BYTES_PER_CELL + 8 * 2))
+    monkeypatch.setattr(harness, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ConfigError, match="MiB of memory, more than the 0 MiB of physical"):
+        StudySpec("weak", burgers_config(), "n", (4, 1000), 4, batches=2, grid_k=300)
+    monkeypatch.setattr(harness, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="the weak grid is built"):  # past the check
+        StudySpec("weak", burgers_config(), "n", (4, 1000), 4, batches=2, grid_k=300)
 
 
 @pytest.mark.parametrize("paired", [False, True])
