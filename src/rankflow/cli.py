@@ -230,7 +230,7 @@ def _cmd_simulate(args) -> int:
             write(["index,position"])
             write(f"{i},{value:.17g}" for i, value in enumerate(final.positions))
     pos = final.positions
-    print(f"final time {final.time:g}: {pos.size} particles, "
+    print(f"final time {config.horizon:g}: {pos.size} particles, "
           f"mean {(pos / pos.size).sum():.6g}, min {pos.min():.6g}, max {pos.max():.6g}",
           file=sys.stderr if args.emit_positions == "-" else sys.stdout)
     return 0

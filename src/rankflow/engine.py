@@ -123,9 +123,8 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Particle positions at one time point, in original index order."""
+    """A run's final positions, at its config's horizon, in original index order."""
 
-    time: float
     positions: np.ndarray
 
 
@@ -306,4 +305,4 @@ def simulate(config: SimulationConfig,
                 snapshot(k * h if k <= n_full else horizon, x.copy())
     if not np.isfinite(x).all():
         raise NumericalError("positions overflowed: not every final position is finite")
-    return ParticleEnsemble(horizon, x)
+    return ParticleEnsemble(x)

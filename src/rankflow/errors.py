@@ -2,8 +2,9 @@
 
 ConfigError covers anything a caller got wrong (bad parameters, impossible
 study setups); NumericalError covers runtime failures of the numerics
-(root brackets that cannot be established). The CLI maps them to exit
-codes 2 and 3, and reports a path it cannot write as a ConfigError.
+(root brackets that cannot be established, positions that overflow). The
+CLI maps them to exit codes 2 and 3, and reports a path it cannot write as
+a ConfigError. The package raises these and issues no warnings.
 """
 
 
@@ -29,7 +30,3 @@ class NumericalError(RankflowError, RuntimeError):
 
 class BracketError(NumericalError):
     """A root bracket could not be established."""
-
-
-class DegenerateInputWarning(UserWarning):
-    """Input is formally allowed but makes the requested quantity vacuous."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 #: monomial coefficients of the Burgers flux -(1-u)^2 / 2
 _BURGERS_COEFFICIENTS = (-0.5, 1.0, -0.5)
@@ -67,21 +67,11 @@ class FluxFunction:
 
     # -- evaluation --------------------------------------------------------
 
-    @property
-    def derivative_coefficients(self) -> tuple[float, ...]:
-        return tuple(npoly.polyder(self.coefficients))
-
     def derivative(self, u):
-        """Characteristic speed, the exact derivative of the flux."""
-        u = self._check_domain(u)
-        return npoly.polyval(u, self.derivative_coefficients)
-
-    @staticmethod
-    def _check_domain(u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u < 0.0) or np.any(u > 1.0):
-            raise DomainError("flux argument must lie in [0, 1]")
-        return u[()] if u.ndim == 0 else u
+        """Characteristic speed, the exact derivative of the flux, at ``u``
+        (scalar or array).  The polynomial is evaluated wherever it is
+        asked: the drift tables take it at rank fractions in [0, 1)."""
+        return npoly.polyval(u, npoly.polyder(self.coefficients))
 
 
 def parse_flux(text: str) -> FluxFunction:

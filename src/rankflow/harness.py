@@ -69,15 +69,16 @@ def _physical_memory() -> Optional[int]:
 
 
 def check_memory(*, particles: int = 0, workers: int = 1, cells: int = 0,
-                 batches: int = 0) -> None:
+                 batches: int = 0, results: int = 0) -> None:
     """ConfigError when a command's arrays would not fit in physical memory.
 
     Called once per command, before anything is allocated.  The need is
     ``workers`` runs of ``particles`` each, the bisection of ``cells``
-    exact quantiles and ``batches`` running sums of ``cells`` values.  The
-    limit is only read, never set.
+    exact quantiles, ``batches`` running sums of ``cells`` values and the
+    ``results`` a strong row keeps, one per run.  The limit is only read, never set.
     """
-    need = workers * particles * _BYTES_PER_PARTICLE + cells * (_BYTES_PER_CELL + 8 * batches)
+    need = (workers * particles * _BYTES_PER_PARTICLE
+            + cells * (_BYTES_PER_CELL + 8 * batches) + 8 * results)
     limit = _physical_memory()
     if limit is not None and need > limit:
         raise ConfigError(f"this command needs about {-(-need >> 20):,} MiB of memory, "
@@ -139,10 +140,11 @@ class StudySpec:
                 raise ConfigError("batches must divide runs")
         object.__setattr__(self, "configs", tuple(
             self._row(j, value) for j, value in enumerate(self.values)))
-        # as many runs at once as the largest pool this host allows
+        # as many runs at once as the largest pool this host allows; a weak
+        # row folds its runs into the batch sums, a strong row keeps them all
         check_memory(particles=max(c.n_particles for c in self.configs),
-                     workers=min(self.runs, _cores()),
-                     cells=self.grid_k if weak else 0, batches=self.batches if weak else 0)
+                     workers=min(self.runs, _cores()), cells=self.grid_k if weak else 0,
+                     batches=self.batches if weak else 0, results=0 if weak else self.runs)
         if weak:
             try:
                 grid = GridSpec.from_quantile(

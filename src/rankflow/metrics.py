@@ -17,13 +17,12 @@ test oracle in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputWarning
+from .errors import ConfigError
 
 
 def _sorted_sample(positions) -> np.ndarray:
@@ -42,24 +41,19 @@ def _sorted_sample(positions) -> np.ndarray:
 def empirical_cdf_at(positions, x):
     """Fraction of positions <= x (weak inequality); vectorized in x."""
     pos = _sorted_sample(positions)
-    xx = np.asarray(x, dtype=float)
-    out = np.searchsorted(pos, xx, side="right") / pos.size
-    return float(out) if xx.ndim == 0 else out
+    return np.searchsorted(pos, x, side="right") / pos.size
 
 
 def psi_grid_free(positions, exact_cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """Grid-free W1 estimate of a sample, in any order, against a reference CDF.
 
     Trapezoid sum between consecutive order statistics, with the empirical
-    CDF equal to i/n on the i-th gap.  A single point makes the sum empty;
-    that degenerate case warns and returns 0.
+    CDF equal to i/n on the i-th gap.  The mass outside the extreme points
+    is omitted, a downward bias that shrinks about like 1/n.  A single point
+    leaves no gap, so the sum is empty and the estimate is 0.
     """
     y = _sorted_sample(positions)
     n = y.size
-    if n == 1:
-        warnings.warn("grid-free estimate of a single point is vacuous",
-                      DegenerateInputWarning, stacklevel=2)
-        return 0.0
     ref = np.asarray(exact_cdf(y), dtype=float)
     # 0.5 * diff(y) * (|ref[1:] - levels| + |ref[:-1] - levels|), in place: 4 arrays at peak
     levels = np.arange(1, n) / n

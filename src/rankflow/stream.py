@@ -43,9 +43,7 @@ def derive_seed(*path: int) -> int:
 
 
 def make_generator(seed: int) -> np.random.Generator:
-    """PCG64 generator for a 64-bit seed."""
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    """PCG64 generator for a 64-bit seed, such as a :func:`derive_seed` output."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
 
 

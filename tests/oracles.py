@@ -90,7 +90,10 @@ def w1_cdf_form(a, b) -> float:
 
 def flux_value(flux: FluxFunction, u):
     """Flux value at ``u`` in [0, 1] (scalar or array)."""
-    return npoly.polyval(flux._check_domain(u), flux.coefficients)
+    u = np.asarray(u, dtype=float)
+    if np.any(u < 0.0) or np.any(u > 1.0):
+        raise DomainError("flux argument must lie in [0, 1]")
+    return npoly.polyval(u[()], flux.coefficients)
 
 
 def _sup_abs_on_unit_interval(coeffs: tuple[float, ...]) -> float:
@@ -106,7 +109,7 @@ def _sup_abs_on_unit_interval(coeffs: tuple[float, ...]) -> float:
 
 def max_speed(flux: FluxFunction) -> float:
     """sup of |derivative| on [0, 1]; bounds every drift coefficient."""
-    return _sup_abs_on_unit_interval(flux.derivative_coefficients)
+    return _sup_abs_on_unit_interval(tuple(npoly.polyder(flux.coefficients)))
 
 
 def lipschitz_speed(flux: FluxFunction) -> float:

@@ -425,13 +425,17 @@ def test_out_of_memory_exits_three(capsys, monkeypatch):
 @pytest.mark.parametrize("args", [
     ["simulate", "--particles", "100000", "--step", "0.5", "--emit-positions"],
     ["strong", "--sweep", "n:4,100000", "--runs", "2", "--step", "0.5", "--out"],
+    # a strong row keeps one value per run: 10**12 of them
+    ["strong", "--sweep", "n:4", "--step", "0.5", "--runs", "1000000000000", "--threads", "1",
+     "--out"],
     ["weak", "--sweep", "n:4", "--runs", "4", "--batches", "2", "--step", "0.5",
      "--grid", "100000", "--out"],
     # the grid alone fits: its 200 batch sums do not
     ["weak", "--sweep", "n:4", "--runs", "200", "--batches", "200", "--step", "0.5",
      "--grid", "1000", "--out"],
     ["exact", "--grid", "100000", "--out"],
-], ids=["simulate-particles", "strong-particles", "weak-grid", "weak-batch-sums", "exact-grid"])
+], ids=["simulate-particles", "strong-particles", "strong-runs", "weak-grid", "weak-batch-sums",
+        "exact-grid"])
 def test_oversized_command_exits_two_before_any_allocation(tmp_path, capsys, monkeypatch,
                                                            args):
     # a 1 MiB host: the command is refused before any run, grid or quantile
