@@ -133,14 +133,19 @@ def _strictly_increasing(xs: np.ndarray) -> bool:
     return np.count_nonzero(xs[:-1] < xs[1:]) == xs.size - 1
 
 
-def _fixed_point(x: np.ndarray, lo: float, scale: float) -> np.ndarray:
-    """``(x - lo) * scale`` truncated to uint64: monotone in x."""
-    keys = np.subtract(x, lo)
+def _fixed_point(x: np.ndarray, lo: float, scale: float, out: np.ndarray) -> np.ndarray:
+    """``(x - lo) * scale`` truncated to uint64, formed in ``out``: monotone in x.
+
+    The product is taken in ``out`` read as float64, then cast in place,
+    which numpy does as if from a copy: the bits of ``astype(np.uint64)``.
+    """
+    keys = np.subtract(x, lo, out=out.view(np.float64))
     keys *= scale
-    return keys.astype(np.uint64)
+    np.copyto(out, keys, casting="unsafe")
+    return out
 
 
-def _packed_order(x: np.ndarray) -> np.ndarray | slice | None:
+def _packed_order(x: np.ndarray, scratch: np.ndarray) -> np.ndarray | slice | None:
     """The stable sort order of ``x`` from one value sort of uint64 words.
 
     Word i holds the fixed-point key ``(x[i] - min) * 2**(63-b) / (max - min)``
@@ -155,6 +160,11 @@ def _packed_order(x: np.ndarray) -> np.ndarray | slice | None:
     ties included.  ``slice(None)``, the identity order, when every value
     is equal (``-0.0`` and ``+0.0`` among them); None when the span is not
     finite (a NaN, an infinity or an overflowing difference).
+
+    The words, which start as the index ramp, are the one array of n
+    values this allocates.  ``scratch``, n uint64 values that must not
+    overlap ``x`` and whose contents are not kept, holds the fixed-point
+    keys, then the sorted keys.
     """
     n = x.size
     lo, hi = float(x.min()), float(x.max())
@@ -166,11 +176,12 @@ def _packed_order(x: np.ndarray) -> np.ndarray | slice | None:
     scale = 2.0 ** (63 - b) / span if span < np.inf else np.inf
     if scale == np.inf:
         return None
-    words = _fixed_point(x, lo, scale)
-    words <<= np.uint64(b)
-    words |= np.arange(n, dtype=np.uint64)
+    words = np.arange(n, dtype=np.uint64)
+    keys = _fixed_point(x, lo, scale, scratch)
+    keys <<= np.uint64(b)
+    words |= keys
     words.sort()
-    keys = words >> np.uint64(b)
+    keys = np.right_shift(words, np.uint64(b), out=keys)
     words &= np.uint64((1 << b) - 1)
     order = words.view(np.intp)
     collided = keys[:-1] == keys[1:]
@@ -183,36 +194,43 @@ def _packed_order(x: np.ndarray) -> np.ndarray | slice | None:
     return order
 
 
-def zero_based_ranks(positions: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``table[rank]`` for each particle, as a fresh array.
+def zero_based_ranks(positions: np.ndarray, table: np.ndarray,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``table[rank]`` for each particle, written into ``out``.
 
     The rank selects the drift coefficient: it is the number of strictly
     smaller particles, and tied particles get distinct consecutive ranks in
     original index order.  The ranks are never stored: the n values of
     ``table`` are scattered through the sort order (``out[order] = table``),
-    so ``table = arange(n)`` gives the ranks themselves.
+    so ``table = arange(n)`` gives the ranks themselves.  ``table`` holds
+    8-byte values (float64 drift, or intp ranks).  ``out``, an array of n
+    values of ``table``'s dtype that does not overlap ``positions``, is
+    written over and returned; without it a new array is.
 
     Below ``_STABLE_BELOW`` values the order comes from the stable sort.
     From ``_PACKED_FROM`` on it comes from one value sort of packed
     key|index words (:func:`_packed_order`), which is exact, or is the
     identity slice when every value ties (the Dirac step), so the scatter
-    is a plain copy.  In between, and when the packed words cannot be
-    formed, it comes from numpy's default (SIMD, unstable) sort, which is
-    faster there.  Without ties every correct sort yields the same
-    permutation; only when the sorted values are not strictly increasing
-    (an exact tie, which includes ``-0.0`` against ``+0.0``, or a NaN) is
-    the order redone with the stable sort, so the ranks are those of the
-    stable sort in every case.
+    is a plain copy.  The packed path forms its keys in ``out`` before the
+    scatter writes over them, so its words are the one array of n values a
+    call allocates.  In between, and when the packed
+    words cannot be formed, the order comes from numpy's default (SIMD,
+    unstable) sort, which is faster there.  Without ties every correct
+    sort yields the same permutation; only when the sorted values are not
+    strictly increasing (an exact tie, which includes ``-0.0`` against
+    ``+0.0``, or a NaN) is the order redone with the stable sort, so the
+    ranks are those of the stable sort in every case.
     """
     x = np.asarray(positions, dtype=float)
     n = x.size
+    if out is None:
+        out = np.empty(n, table.dtype)
     if n < _STABLE_BELOW:
         order = x.argsort(kind="stable")
-    elif n < _PACKED_FROM or (order := _packed_order(x)) is None:
+    elif n < _PACKED_FROM or (order := _packed_order(x, out.view(np.uint64))) is None:
         order = x.argsort()
         if not _strictly_increasing(x[order]):
             order = x.argsort(kind="stable")
-    out = np.empty(n, table.dtype)
     out[order] = table
     return out
 
@@ -238,34 +256,49 @@ def _advance(x: np.ndarray, drift: np.ndarray, sigma: float, h: float, n_full: i
     """The Euler step kernel: yields the positions after every step.
 
     Takes ``n_full`` steps of length ``h``, then one of length ``last`` when
-    ``last > 0``; each step freezes the drift at the ranks of its input,
-    scattering the step's drift table through the input's sort order
-    (:func:`zero_based_ranks` with a table), so no ranks array is built.
-    Increments are drawn whole steps at a time, one ``(rows, n)`` block per
-    draw of at most ``_DRAW_BLOCK`` values (one row when n is larger), so
-    particle i at step k still consumes position k*n + i of ``rng``'s
-    stream.  The input array is never written to.
+    ``last > 0``.  A step ranks its input first: :func:`zero_based_ranks`
+    scatters the step's drift through the input's sort order into the
+    output, so no ranks array is built.  Only then does it draw: increments
+    come whole steps at a time, one ``(rows, n)`` block per draw of at most
+    ``_DRAW_BLOCK`` values (one row when n is larger), so particle i at
+    step k still consumes position k*n + i of ``rng``'s stream, and a
+    block's draws are dropped before the next block ranks.
+
+    The positions live in two buffers used in turn: a step writes over the
+    input of the step before it, and never over the caller's input, so a
+    yielded array is overwritten two steps later.  With one row per draw
+    the drift table itself is scattered and the result multiplied by the
+    step length in place, so a step holds four arrays of n values at its
+    peak: the cached drift table, its input, its output, and the packed
+    sort words while it ranks or the increments after.  Smaller runs
+    scatter a per-run product ``drift * h`` (``drift * last`` for a partial
+    step), which saves a pass per step.
 
     A step gives the bits of ``drift[r]*dt + x + z*(sigma*sqrt(dt))``,
-    added in that order, with the products taken once per run or per
-    block: the drift table is multiplied by ``h`` once (and by ``last`` only
-    when a partial step exists), and each block's rows are scaled by their
-    step's ``sigma*sqrt(dt)`` as soon as they are drawn.
+    added in that order; each block's rows are scaled by their step's
+    ``sigma*sqrt(dt)`` as soon as they are drawn.
     """
+    n = x.size
     n_steps = n_full + (last > 0.0)
-    rows = max(1, _DRAW_BLOCK // x.size)
-    step_drift = drift * h
+    rows = max(1, _DRAW_BLOCK // n)
+    table = drift if rows == 1 else drift * h
+    spare = None
     for first in range(0, n_steps, rows):
-        noise = standard_normals(rng, (min(rows, n_steps - first), x.size))
-        full = min(len(noise), n_full - first)
-        noise[:full] *= sigma * np.sqrt(h)
-        noise[full:] *= sigma * np.sqrt(last)  # the partial last step, if any
-        for k, increment in enumerate(noise, first):
-            if k == n_full:
-                step_drift = drift * last
-            moved = zero_based_ranks(x, step_drift)
+        noise = None
+        for k in range(first, min(first + rows, n_steps)):
+            if k == n_full and rows > 1:
+                table = drift * last
+            moved = zero_based_ranks(x, table, out=spare)
+            if rows == 1:
+                moved *= h if k < n_full else last
+            if noise is None:
+                noise = standard_normals(rng, (min(rows, n_steps - first), n))
+                full = min(len(noise), n_full - first)
+                noise[:full] *= sigma * np.sqrt(h)
+                noise[full:] *= sigma * np.sqrt(last)  # the partial last step, if any
             moved += x
-            moved += increment
+            moved += noise[k - first]
+            spare = x if k else None
             x = moved
             yield x
 

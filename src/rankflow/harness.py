@@ -21,15 +21,17 @@ j, r), so tables are reproducible bit for bit; with paired seeds the row
 index is dropped and all rows share their Brownian noise.  One worker,
 ``_run``, simulates a run and applies the row's statistic to its final
 positions, unsorted.  Runs may execute in a pool of at most one process
-per run and per core, but reduction always happens in run index order,
-which keeps results identical for every worker count.  The harness
-writes nothing: ``rankflow.cli`` formats and writes every table.
+per run and per core, with a few runs per process in flight, but
+reduction always happens in run index order, which keeps results
+identical for every worker count.  The harness writes nothing:
+``rankflow.cli`` formats and writes every table.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -50,13 +52,20 @@ SWEEP_N = "n"
 SWEEP_H = "h"
 
 #: peak bytes per particle of one run, the step kernel and the strong
-#: estimator together: 49 under tracemalloc at N=500000, seven arrays of
-#: float64 rounded up
-_BYTES_PER_PARTICLE = 56
+#: estimator together: 33.0 under tracemalloc at N=70000 and at N=500000,
+#: the step's four arrays of float64 (drift table, input, output, and sort
+#: words or increments) and its one-byte key collision mask, rounded up to
+#: five arrays
+_BYTES_PER_PARTICLE = 40
 
 #: peak bytes per cell of the exact-quantile bisection of a weak grid: 67
 #: under tracemalloc at K=5000 and at K=10**6, rounded up
 _BYTES_PER_CELL = 72
+
+#: runs a pool holds submitted and not yet yielded, per worker: enough to
+#: keep every worker fed while the parent reduces a result, and a bound on
+#: the parent's memory whatever the run count
+_IN_FLIGHT_PER_WORKER = 4
 
 
 def _physical_memory() -> Optional[int]:
@@ -205,16 +214,30 @@ def _map_runs(run, n_runs: int, threads: int) -> Iterator:
 
     With more than one thread a process pool decides where runs execute.
     The pool has at most one worker per run and per core the process may
-    use, and none when that is one.  When the caller stops early (Ctrl-C,
-    or a failed run), the runs not yet started are cancelled.
+    use, and none when that is one.  At most ``_IN_FLIGHT_PER_WORKER``
+    runs per worker are submitted and not yet yielded: the next run is
+    submitted when the oldest one has yielded.  When the caller stops
+    early (Ctrl-C, or a failed run), the runs not yet started are
+    cancelled.
     """
     workers = min(threads, n_runs, _cores())
     if workers <= 1:
         yield from map(run, range(n_runs))
         return
+    window = _IN_FLIGHT_PER_WORKER * workers
     with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
                              initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-        yield from pool.map(partial(_interruptible, run), range(n_runs))
+        in_flight = deque()
+        try:
+            for r in range(n_runs):
+                in_flight.append(pool.submit(_interruptible, run, r))
+                if len(in_flight) == window:
+                    yield in_flight.popleft().result()
+            while in_flight:
+                yield in_flight.popleft().result()
+        finally:
+            for future in in_flight:
+                future.cancel()
 
 
 def _kahan_add(total: np.ndarray, compensation: np.ndarray, term: np.ndarray) -> None:

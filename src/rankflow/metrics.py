@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
+from .exact import _BLOCK
 
 
 def _sorted_sample(positions) -> np.ndarray:
@@ -51,17 +52,41 @@ def psi_grid_free(positions, exact_cdf: Callable[[np.ndarray], np.ndarray]) -> f
     CDF equal to i/n on the i-th gap.  The mass outside the extreme points
     is omitted, a downward bias that shrinks about like 1/n.  A single point
     leaves no gap, so the sum is empty and the estimate is 0.
+
+    The terms are written over the array of CDF values, block by block,
+    and summed as one contiguous array, so at its peak the estimate holds
+    the sorted sample, the CDF values and two blocks of ``_BLOCK`` values.
     """
     y = _sorted_sample(positions)
     n = y.size
     ref = np.asarray(exact_cdf(y), dtype=float)
-    # 0.5 * diff(y) * (|ref[1:] - levels| + |ref[:-1] - levels|), in place: 4 arrays at peak
-    levels = np.arange(1, n) / n
-    terms = np.subtract(ref[1:], levels)
+    if np.may_share_memory(ref, y) or not ref.flags.writeable:
+        ref = ref.copy()  # never write over the sample or a read-only result
+    for start in range(0, n - 1, _BLOCK):
+        _write_terms(y, ref, start, min(start + _BLOCK, n - 1))
+    # np.sum's pairwise tree sees the n - 1 terms in order, as one array
+    return float(np.sum(ref[:-1]))
+
+
+def _write_terms(y: np.ndarray, ref: np.ndarray, start: int, stop: int) -> None:
+    """Terms ``start..stop-1`` of the grid-free sum, written over ``ref[start:stop]``.
+
+    Term i is ``(|ref[i+1] - level| + |ref[i] - level|) * ((y[i+1] - y[i])
+    * 0.5)`` with ``level = (i+1)/n``, bit for bit: the two absolute values
+    are added in the other order, and addition commutes.  ``ref[stop]`` is
+    read, not written, so the next block still finds it.
+    """
+    levels = np.arange(start + 1, stop + 1, dtype=float)
+    levels /= y.size
+    above = np.subtract(ref[start + 1:stop + 1], levels)
+    np.abs(above, out=above)
+    terms = ref[start:stop]
+    terms -= levels
     np.abs(terms, out=terms)
-    terms += np.abs(np.subtract(ref[:-1], levels, out=levels), out=levels)
-    terms *= np.multiply(np.subtract(y[1:], y[:-1], out=levels), 0.5, out=levels)
-    return float(np.sum(terms))
+    terms += above
+    width = np.subtract(y[start + 1:stop + 1], y[start:stop], out=levels)
+    width *= 0.5
+    terms *= width
 
 
 @dataclass(frozen=True)

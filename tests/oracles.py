@@ -6,7 +6,9 @@ law's CDF, integrated quantile and support), W_rho and the CDF form of W1
 between two samples, weak-inequality rank counts, the PDE residual of the
 exact Burgers solution, the one-based rank coefficients and the speed
 bounds of a flux, the Gaussian heat kernel with its analytic identities,
-and the uniform lattice built from ``Generator.random``.
+the uniform lattice built from ``Generator.random``, and the exact CDF
+and the grid-free estimate computed over whole arrays, which the
+package's block-by-block versions must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import partial, singledispatch
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.special import erfc, ndtri
+from scipy.special import erfc, expit, log_ndtr, ndtri
 
 from rankflow.errors import ConfigError, DomainError
 from rankflow.exact import BurgersSolution
@@ -150,6 +152,32 @@ def pde_residual(solution: BurgersSolution, t: float, x: float, delta: float) ->
     dx_flux = (flux_value(flux, f_right) - flux_value(flux, f_left)) / (2.0 * delta)
     dxx_term = (f_right - 2.0 * f_mid + f_left) / delta**2
     return float(dt_term + dx_flux - 0.5 * solution.sigma**2 * dxx_term)
+
+
+def burgers_cdf_unblocked(solution: BurgersSolution, t: float, x: np.ndarray) -> np.ndarray:
+    """The closed-form CDF of ``solution`` over the whole of ``x`` at once,
+    in the operation order of ``rankflow.exact``'s formula."""
+    x = np.asarray(x, dtype=float)
+    scale = solution.sigma * np.sqrt(t)
+    g = (2.0 * x - t) / (2.0 * solution.sigma**2)
+    g += log_ndtr(x / scale)
+    g -= log_ndtr((t - x) / scale)
+    return expit(g)
+
+
+# -- estimators ----------------------------------------------------------------
+
+def psi_grid_free_unblocked(positions, exact_cdf) -> float:
+    """The grid-free W1 estimate with every trapezoid term in one array,
+    in the operation order of ``rankflow.metrics.psi_grid_free``."""
+    y = np.sort(np.asarray(positions, dtype=float))
+    n = y.size
+    ref = np.asarray(exact_cdf(y), dtype=float)
+    levels = np.arange(1, n) / n
+    terms = np.abs(ref[1:] - levels)
+    terms += np.abs(ref[:-1] - levels)
+    terms *= (y[1:] - y[:-1]) * 0.5
+    return float(np.sum(terms))
 
 
 # -- initial laws ------------------------------------------------------------

@@ -66,11 +66,12 @@ def tie_heavy(sizes):
                      sizes, atoms.map(np.array), st.integers(0, 2**32 - 1))
 
 
-def stable_ranks(x, table=None):
-    """The stable-sort ranks of ``x``, or ``table`` gathered through them."""
+def stable_ranks(x, table=None, out=None):
+    """The stable-sort ranks of ``x``, or ``table`` gathered through them,
+    into ``out`` when given, as the step kernel calls ``zero_based_ranks``."""
     ranks = np.empty(x.size, dtype=np.intp)
     ranks[np.argsort(x, kind="stable")] = np.arange(x.size)
-    return ranks if table is None else table[ranks]
+    return ranks if table is None else np.take(table, ranks, out=out)
 
 
 #: sample sizes on each side of the stable-sort and packed-word cut-overs
@@ -201,21 +202,27 @@ def test_estimates_are_bitwise_invariant_under_permutation(x, seed):
 
 IID_GAUSS = InitRule(IID, Gaussian(0.0, 1.0))
 
+#: two steps per draw block: blocks hold steps (0, 1), (2, 3), (4, 5), (6,)
+TWO_ROWS = engine._DRAW_BLOCK // 3 + 1
+#: one step per draw: the kernel scatters the drift table itself, scales
+#: it by the step in place and draws after it ranks
+ONE_ROW = 70_000
 
-@pytest.mark.parametrize("init, horizon, n_full", [
+
+@pytest.mark.parametrize("n, init, step, horizon, n_full", [
     # 6 full steps, and the partial step opens the fourth block
-    (InitRule(), 1.6, 6), (IID_GAUSS, 1.6, 6),
+    (TWO_ROWS, InitRule(), 0.25, 1.6, 6), (TWO_ROWS, IID_GAUSS, 0.25, 1.6, 6),
     # 5 full steps, and the partial step shares the third block with a full one
-    (InitRule(), 1.4, 5), (IID_GAUSS, 1.4, 5),
+    (TWO_ROWS, InitRule(), 0.25, 1.4, 5), (TWO_ROWS, IID_GAUSS, 0.25, 1.4, 5),
     # 6 full steps fill three blocks, and there is no partial step
-    (InitRule(), 1.5, 6), (IID_GAUSS, 1.5, 6),
+    (TWO_ROWS, InitRule(), 0.25, 1.5, 6), (TWO_ROWS, IID_GAUSS, 0.25, 1.5, 6),
+    # 3 full steps and a partial one, each drawn alone, in two buffers in turn
+    (ONE_ROW, IID_GAUSS, 0.3, 1.0, 3),
 ], ids=["dirac", "iid", "dirac-partial-step-ends-a-block", "iid-partial-step-ends-a-block",
-        "dirac-no-partial-step", "iid-no-partial-step"])
-def test_simulate_equals_chain_of_euler_steps(init, horizon, n_full):
-    # two steps per draw block: blocks hold steps (0, 1), (2, 3), (4, 5), (6,)
-    n = engine._DRAW_BLOCK // 3 + 1
-    assert engine._DRAW_BLOCK // n == 2
-    cfg = config(n_particles=n, step=0.25, horizon=horizon, sigma=0.4, init=init, seed=8)
+        "dirac-no-partial-step", "iid-no-partial-step", "one-row-iid-partial-step"])
+def test_simulate_equals_chain_of_euler_steps(n, init, step, horizon, n_full):
+    assert engine._DRAW_BLOCK // TWO_ROWS == 2 and engine._DRAW_BLOCK // ONE_ROW == 0
+    cfg = config(n_particles=n, step=step, horizon=horizon, sigma=0.4, init=init, seed=8)
     steps = [cfg.step] * n_full
     last = cfg.horizon - n_full * cfg.step
     if last > 1e-9:
@@ -225,8 +232,19 @@ def test_simulate_equals_chain_of_euler_steps(init, horizon, n_full):
     drift = engine._drift_table(cfg.flux, n, cfg.scheme)
     for dt, z in zip(steps, noise):
         # the Euler recursion, in the step kernel's order of operations
-        x = drift[ranks(x)] * dt + x + z * (cfg.sigma * np.sqrt(dt))
+        x = drift[stable_ranks(x)] * dt + x + z * (cfg.sigma * np.sqrt(dt))
     assert simulate(cfg).positions.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("n", [TWO_ROWS, ONE_ROW], ids=["two-rows", "one-row"])
+def test_kernel_never_writes_its_input(n):
+    # the steps write over each other's buffers, never over the caller's
+    start = make_generator(1).random(n)
+    before = start.tobytes()
+    drift = engine._drift_table(BURGERS, n, "rank")
+    for x in engine._advance(start, drift, 0.4, 0.25, 5, 0.1, make_generator(2)):
+        assert not np.shares_memory(x, start)
+    assert start.tobytes() == before
 
 
 @pytest.mark.parametrize("init", [InitRule(), IID_GAUSS], ids=["dirac", "iid"])

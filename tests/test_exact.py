@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import pde_residual
+from oracles import burgers_cdf_unblocked, pde_residual
 from rankflow import BracketError, BurgersSolution, ConfigError, DomainError
+from rankflow.exact import _BLOCK
 
 SOL = BurgersSolution(np.sqrt(0.2))
 
@@ -29,6 +30,18 @@ def test_cdf_monotone_and_bounded(t, sigma2):
     assert np.all(np.diff(cdf) >= 0.0)
     assert np.all((cdf >= 0.0) & (cdf <= 1.0))
     assert cdf[0] < 1e-10 and cdf[-1] > 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+@pytest.mark.parametrize("order", ["sorted", "unsorted"])
+def test_blocked_cdf_is_the_whole_array_formula_bitwise(n, order):
+    # sizes at and across the edges of the evaluation blocks
+    assert 2**16 % _BLOCK == 0
+    x = np.random.default_rng(n).normal(0.5, 1.0, n)
+    if order == "sorted":
+        x.sort()
+    for t in (0.1, 1.0):
+        assert SOL.cdf(t, x).tobytes() == burgers_cdf_unblocked(SOL, t, x).tobytes()
 
 
 def test_cdf_stable_for_extreme_arguments():

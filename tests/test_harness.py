@@ -146,10 +146,28 @@ def test_reference_fetched_once_per_spec(monkeypatch):
     assert len(calls) == 2
 
 
+class PoolLog(list):
+    """The ``max_workers`` of each pool built, and the most futures that
+    were ever submitted and not yet read."""
+
+    in_flight = most_in_flight = 0
+
+
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """Every pool maps in-process; returns the ``max_workers`` of each pool built."""
-    built = []
+    """Every pool runs its runs in-process as they are submitted; returns a PoolLog."""
+    built = PoolLog()
+
+    class FakeFuture:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            built.in_flight -= 1
+            return self.value
+
+        def cancel(self):
+            return False
 
     class FakePool:
         def __init__(self, max_workers, **kwargs):
@@ -161,8 +179,10 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable):
-            return map(fn, iterable)
+        def submit(self, fn, *args):
+            built.in_flight += 1
+            built.most_in_flight = max(built.most_in_flight, built.in_flight)
+            return FakeFuture(fn(*args))
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(harness, "_interruptible", lambda run, run_index: run(run_index))
@@ -190,6 +210,17 @@ def test_pool_has_no_more_workers_than_cores(fake_pool, monkeypatch, cores, pool
     spec = StudySpec("strong", burgers_config(), "n", (4,), 4)
     assert run_study(spec, threads=100000) == run_study(spec)
     assert fake_pool == pools
+
+
+def test_runs_in_flight_never_exceed_the_window(fake_pool, monkeypatch):
+    # a row of 10**5 runs on two workers: the pool holds eight at a time,
+    # and the results still come in run-index order
+    pin_cores(monkeypatch, {0, 1})
+    runs = 10**5
+    assert list(harness._map_runs(lambda r: r, runs, threads=2)) == list(range(runs))
+    assert fake_pool == [2]
+    assert fake_pool.most_in_flight == 2 * harness._IN_FLIGHT_PER_WORKER == 8
+    assert fake_pool.in_flight == 0
 
 
 def test_study_spec_validation():

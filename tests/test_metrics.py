@@ -7,9 +7,10 @@ import pytest
 from scipy.integrate import quad
 
 import rankflow.harness as harness
-from oracles import w1_cdf_form, w_rho_empirical
+from oracles import psi_grid_free_unblocked, w1_cdf_form, w_rho_empirical
 from rankflow import (BurgersSolution, ConfigError, FluxFunction, GridSpec, SimulationConfig,
                       StudySpec, empirical_cdf_at, phi_grid, psi_grid_free)
+from rankflow.exact import _BLOCK
 
 
 def uniform_cdf(x):
@@ -124,9 +125,9 @@ def test_psi_iid_matches_exact_integral_oracle():
     assert abs(estimate - exact) <= 0.02 * exact
 
 
-def test_psi_peak_memory_is_four_arrays():
-    # the sorted sample, the reference CDF and two working arrays: the
-    # terms are formed in place, not as six temporaries
+def test_psi_peak_memory_is_two_arrays_and_two_blocks():
+    # the sorted sample and the reference CDF, which the terms are written
+    # over, and two working blocks, whatever the sample size
     n = 100_000
     x = np.random.default_rng(3).permutation(n) / n
     tracemalloc.start()
@@ -135,7 +136,31 @@ def test_psi_peak_memory_is_four_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * n * 8
+    assert 2 * n * 8 < peak < 2 * n * 8 + 2 * _BLOCK * 8 + 4096
+
+
+@pytest.mark.parametrize("n", [2, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+@pytest.mark.parametrize("order", ["sorted", "unsorted"])
+def test_blocked_psi_is_the_whole_array_sum_bitwise(n, order):
+    # the sum has n - 1 terms: at 2**16 + 1 they fill whole blocks, at 2**16
+    # the last block is one term short
+    assert 2**16 % _BLOCK == 0
+    x = np.random.default_rng(n).normal(0.5, 1.0, n)
+    if order == "sorted":
+        x.sort()
+    cdf = partial(BurgersSolution(np.sqrt(0.2)).cdf, 1.0)
+    assert (np.float64(psi_grid_free(x, cdf)).tobytes()
+            == np.float64(psi_grid_free_unblocked(x, cdf)).tobytes())
+
+
+def test_psi_writes_over_neither_its_sample_nor_a_read_only_cdf():
+    # an identity CDF hands back the sorted sample itself, a cached one a
+    # read-only array: the terms go to a copy of either
+    x = np.random.default_rng(4).random(1000)
+    frozen = np.sort(x)
+    frozen.setflags(write=False)
+    for cdf in (lambda y: y, lambda y: frozen):
+        assert psi_grid_free(x, cdf) == psi_grid_free_unblocked(x, cdf)
 
 
 def test_psi_single_point_is_zero_without_warning():

@@ -13,6 +13,7 @@ import pytest
 
 import rankflow
 import rankflow.cli as cli
+import rankflow.harness as harness
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -69,3 +70,9 @@ def test_readme_name_resolves(dotted):
 
 def test_package_all_resolves():
     assert [name for name in rankflow.__all__ if not hasattr(rankflow, name)] == []
+
+
+def test_readme_memory_figures_are_the_harness_constants():
+    # the memory check's need, as README states it
+    assert re.findall(r"\((\d+) bytes a particle\)", README) == [str(harness._BYTES_PER_PARTICLE)]
+    assert re.findall(r"\((\d+) bytes a cell\)", README) == [str(harness._BYTES_PER_CELL)]
