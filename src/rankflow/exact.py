@@ -27,13 +27,6 @@ from .errors import BracketError, ConfigError, DomainError
 _BISECTION_ROUNDS = 200
 _BRACKET_EXPANSIONS = 200
 
-#: values per block of the loops over a sample (the exact CDF here, the
-#: grid-free trapezoid sum in rankflow.metrics): a block array takes 256 KB
-#: whatever the sample size, so from about N=58000 on the estimator, with
-#: three sample arrays and two blocks, peaks below the step kernel's four
-#: sample arrays
-_BLOCK = 2**15
-
 
 @dataclass(frozen=True)
 class BurgersSolution:
@@ -54,29 +47,21 @@ class BurgersSolution:
         if not 0.0 < t < np.inf:
             raise DomainError("the closed form requires a finite t > 0")
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        flat = x.reshape(-1)
-        g = np.empty(flat.size)
-        two_variance = 2.0 * self.sigma**2
         scale = self.sigma * np.sqrt(t)
-        # g in place, block by block, in the operation order of the formula
-        # in the module docstring, so the bits are those of the plain
-        # expression; one block buffer holds each log Phi argument in turn
-        work = np.empty(min(flat.size, _BLOCK))
-        for start in range(0, flat.size, _BLOCK):
-            xs = flat[start:start + _BLOCK]
-            gs = g[start:start + _BLOCK]
-            np.multiply(2.0, xs, out=gs)
-            gs -= t
-            gs /= two_variance
-            below = np.divide(xs, scale, out=work[:xs.size])
-            gs += log_ndtr(below, out=below)
-            above = np.subtract(t, xs, out=below)
-            above /= scale
-            gs -= log_ndtr(above, out=above)
-            expit(gs, out=gs)
-        return float(g[0]) if scalar else g.reshape(x.shape)
+        # g in place, in the operation order of the formula in the module
+        # docstring, so the bits are those of the plain expression; one work
+        # buffer holds each log Phi argument in turn.  2x or x/scale may
+        # overflow to +-inf, where the limits 0 and 1 are right
+        with np.errstate(over="ignore"):
+            g = np.multiply(2.0, x, out=np.empty_like(x))
+            g -= t
+            g /= 2.0 * self.sigma**2
+            work = np.divide(x, scale, out=np.empty_like(x))
+            g += log_ndtr(work, out=work)
+            np.subtract(t, x, out=work)
+            work /= scale
+            g -= log_ndtr(work, out=work)
+            return expit(g, out=g)[()]
 
     def quantile(self, t: float, u):
         """Generalized inverse of cdf(t, .) at u, by bracketing bisection.
@@ -91,8 +76,6 @@ class BurgersSolution:
         if not 0.0 < t < np.inf:
             raise DomainError("the closed form requires a finite t > 0")
         uu = np.asarray(u, dtype=float)
-        scalar = uu.ndim == 0
-        uu = np.atleast_1d(uu)
         if np.any(uu <= 0.0) or np.any(uu >= 1.0):
             raise DomainError("quantile argument must lie strictly inside (0, 1)")
 
@@ -117,5 +100,4 @@ class BurgersSolution:
             hi = np.where(below, hi, mid)
             if np.all(hi - lo <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(mid))):
                 break
-        x = 0.5 * (lo + hi)
-        return float(x[0]) if scalar else x
+        return (0.5 * (lo + hi))[()]

@@ -189,8 +189,10 @@ class StudyRow:
 def _run(config: SimulationConfig, statistic, run_index: int):
     """``statistic`` of the final positions of run ``run_index`` of a row.
 
-    The row binds the statistic with functools.partial, so a pool pickles
-    the row's inputs once per chunk of runs.
+    The row binds the config and the statistic with functools.partial, and
+    a pool takes one run at a time, so it pickles them with every run: the
+    statistic of a weak row carries its K midpoint quantiles, 40 KB at
+    K=5000.
     """
     cfg = replace(config, seed=derive_seed(config.seed, run_index))
     return statistic(simulate(cfg).positions)
@@ -240,6 +242,17 @@ def _map_runs(run, n_runs: int, threads: int) -> Iterator:
                 future.cancel()
 
 
+def _with_half_width(estimation, values: np.ndarray) -> tuple[float, float]:
+    """``estimation`` and the 95% half-width ``1.96 * sqrt(s^2 / m)`` of the m
+    ``values`` it came from, s^2 their unbiased variance; NumericalError
+    unless both are finite, as values near the float range overflow them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        precision = 1.96 * float(np.sqrt(np.var(values, ddof=1) / values.size))
+    if not (np.isfinite(estimation) and np.isfinite(precision)):
+        raise NumericalError("the estimate or its half-width overflowed")
+    return float(estimation), precision
+
+
 def _kahan_add(total: np.ndarray, compensation: np.ndarray, term: np.ndarray) -> None:
     y = term - compensation
     t = total + y
@@ -259,9 +272,9 @@ def strong_error_point(spec: StudySpec, j: int, *, threads: int = 1) -> tuple[fl
     statistic = partial(psi_grid_free, exact_cdf=partial(spec.reference.cdf, config.horizon))
     results = _map_runs(partial(_run, config, statistic), runs, threads)
     values = np.fromiter(results, dtype=float, count=runs)
-    estimation = float(np.mean(values))
-    precision = 1.96 * float(np.sqrt(np.var(values, ddof=1) / runs))
-    return estimation, precision
+    with np.errstate(over="ignore"):
+        estimation = np.mean(values)
+    return _with_half_width(estimation, values)
 
 
 def weak_error_point(spec: StudySpec, j: int, *, threads: int = 1) -> tuple[float, float]:
@@ -288,16 +301,15 @@ def weak_error_point(spec: StudySpec, j: int, *, threads: int = 1) -> tuple[floa
         batch_sums[r // per_batch] += vector
         _kahan_add(total, compensation, vector)
 
-    estimation = phi_grid(total / runs, grid)
     batch_values = np.array([phi_grid(batch_sums[b] / per_batch, grid)
                              for b in range(batches)])
-    precision = 1.96 * float(np.sqrt(np.var(batch_values, ddof=1) / batches))
-    return estimation, precision
+    return _with_half_width(phi_grid(total / runs, grid), batch_values)
 
 
 def run_study(spec: StudySpec, *, threads: int = 1) -> tuple[StudyRow, ...]:
     """One table row per config the spec built, in sweep order; the ratio is
-    the previous estimate over the row's own (none on the first row)."""
+    the previous estimate over the row's own, none on the first row and on
+    a row whose estimate is 0."""
     point = strong_error_point if spec.kind == STRONG else weak_error_point
     rows = []
     for j, value in enumerate(spec.values):
@@ -305,6 +317,6 @@ def run_study(spec: StudySpec, *, threads: int = 1) -> tuple[StudyRow, ...]:
             estimation, precision = point(spec, j, threads=threads)
         except NumericalError as err:
             raise NumericalError(f"sweep value {value}: {err}") from err
-        ratio = rows[-1].estimation / estimation if rows else None
+        ratio = rows[-1].estimation / estimation if rows and estimation else None
         rows.append(StudyRow(float(value), estimation, precision, ratio))
     return tuple(rows)

@@ -27,7 +27,8 @@ class InitialDistribution(abc.ABC):
         a = np.asarray(u, dtype=float)
         if np.any(a <= 0.0) or np.any(a >= 1.0):
             raise DomainError("quantile argument must lie strictly inside (0, 1)")
-        out = self._quantile(a)
+        with np.errstate(over="ignore"):  # a law near the float range gives +-inf
+            out = self._quantile(a)
         return float(out) if a.ndim == 0 else out
 
     @abc.abstractmethod

@@ -23,7 +23,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .exact import _BLOCK
+
+#: gaps per block of the grid-free sum: a block array takes 256 KB whatever
+#: the sample size, so from about N=58000 on the estimator, with three sample
+#: arrays and two blocks, peaks below the step kernel's four sample arrays
+_BLOCK = 2**15
 
 
 def _sorted_sample(positions) -> np.ndarray:
@@ -53,40 +57,39 @@ def psi_grid_free(positions, exact_cdf: Callable[[np.ndarray], np.ndarray]) -> f
     is omitted, a downward bias that shrinks about like 1/n.  A single point
     leaves no gap, so the sum is empty and the estimate is 0.
 
-    The terms are written over the array of CDF values, block by block,
-    and summed as one contiguous array, so at its peak the estimate holds
-    the sorted sample, the CDF values and two blocks of ``_BLOCK`` values.
+    The CDF is evaluated and the terms written ``_BLOCK`` gaps at a time,
+    into one array of the n - 1 terms summed as one array, so at its peak
+    the estimate holds the sorted sample, the terms and two blocks.
     """
     y = _sorted_sample(positions)
     n = y.size
-    ref = np.asarray(exact_cdf(y), dtype=float)
-    if np.may_share_memory(ref, y) or not ref.flags.writeable:
-        ref = ref.copy()  # never write over the sample or a read-only result
-    for start in range(0, n - 1, _BLOCK):
-        _write_terms(y, ref, start, min(start + _BLOCK, n - 1))
+    terms = np.empty(n - 1)
+    # a block's CDF values are dropped before the next block's are evaluated;
+    # a gap that overflows makes the estimate inf or nan, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n - 1, _BLOCK):
+            stop = min(start + _BLOCK, n - 1)
+            _write_terms(y, exact_cdf(y[start:stop + 1]), terms, start, stop)
     # np.sum's pairwise tree sees the n - 1 terms in order, as one array
-    return float(np.sum(ref[:-1]))
+    return float(np.sum(terms))
 
 
-def _write_terms(y: np.ndarray, ref: np.ndarray, start: int, stop: int) -> None:
-    """Terms ``start..stop-1`` of the grid-free sum, written over ``ref[start:stop]``.
+def _write_terms(y: np.ndarray, ref: np.ndarray, terms: np.ndarray, start: int, stop: int) -> None:
+    """Terms ``start..stop-1`` of the grid-free sum into ``terms[start:stop]``,
+    from the CDF values ``ref`` at ``y[start:stop+1]``, which it only reads.
 
     Term i is ``(|ref[i+1] - level| + |ref[i] - level|) * ((y[i+1] - y[i])
-    * 0.5)`` with ``level = (i+1)/n``, bit for bit: the two absolute values
-    are added in the other order, and addition commutes.  ``ref[stop]`` is
-    read, not written, so the next block still finds it.
+    * 0.5)`` with ``level = (i+1)/n``, ``ref`` indexed from ``start``.
     """
     levels = np.arange(start + 1, stop + 1, dtype=float)
     levels /= y.size
-    above = np.subtract(ref[start + 1:stop + 1], levels)
-    np.abs(above, out=above)
-    terms = ref[start:stop]
-    terms -= levels
-    np.abs(terms, out=terms)
-    terms += above
+    out = np.subtract(ref[1:], levels, out=terms[start:stop])
+    np.abs(out, out=out)
+    below = np.subtract(ref[:-1], levels, out=levels)
+    out += np.abs(below, out=below)
     width = np.subtract(y[start + 1:stop + 1], y[start:stop], out=levels)
     width *= 0.5
-    terms *= width
+    out *= width
 
 
 @dataclass(frozen=True)

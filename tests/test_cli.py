@@ -403,6 +403,28 @@ def test_overflowing_run_exits_three():
                            "not every final position is finite\n")
 
 
+def test_zero_strong_estimate_has_no_ratio():
+    # noise below an ulp leaves every run's particles tied, so each estimate
+    # is 0 and the second row has no ratio to the first, as the first has none
+    done = run_cli_process(["strong", "--sweep", "n:4,4", "--step", "0.5", "--runs", "2",
+                            "--sigma2", "1e-300"])
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert done.stdout.splitlines()[1:] == ["4,0,0,", "4,0,0,"]
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "5"])
+def test_overflowing_strong_estimate_exits_three(seed):
+    # a law near the float range: at seed 0 the variance of the two estimates
+    # overflows, at 1 the initial positions, at 5 a gap between two of them
+    done = run_cli_process(["strong", "--sweep", "n:4", "--step", "0.5", "--runs", "2",
+                            "--init", "iid", "--dist", "gauss:0,1e308", "--seed", seed])
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("rankflow: numerical failure: sweep value 4: ")
+    assert done.stderr.count("\n") == 1
+
+
 def test_exact_at_tiny_viscosity_exits_zero():
     done = run_cli_process(["exact", "--sigma2", "1e-9", "--grid", "4"])
     assert done.returncode == 0, done.stderr

@@ -1,9 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from oracles import burgers_cdf_unblocked, pde_residual
 from rankflow import BracketError, BurgersSolution, ConfigError, DomainError
-from rankflow.exact import _BLOCK
 
 SOL = BurgersSolution(np.sqrt(0.2))
 
@@ -34,14 +35,38 @@ def test_cdf_monotone_and_bounded(t, sigma2):
 
 @pytest.mark.parametrize("n", [2, 2**16, 2**16 + 1, 3 * 2**16 + 5])
 @pytest.mark.parametrize("order", ["sorted", "unsorted"])
-def test_blocked_cdf_is_the_whole_array_formula_bitwise(n, order):
-    # sizes at and across the edges of the evaluation blocks
-    assert 2**16 % _BLOCK == 0
+def test_cdf_is_the_plain_formula_bitwise(n, order):
     x = np.random.default_rng(n).normal(0.5, 1.0, n)
     if order == "sorted":
         x.sort()
     for t in (0.1, 1.0):
         assert SOL.cdf(t, x).tobytes() == burgers_cdf_unblocked(SOL, t, x).tobytes()
+
+
+@pytest.mark.parametrize("method, values", [
+    ("cdf", np.array([-3.0, 0.1, 0.5, 0.7, 2.0, 40.0])),
+    ("quantile", np.array([1e-9, 0.1, 0.25, 0.5, 0.9, 1.0 - 1e-9])),
+])
+def test_cdf_and_quantile_keep_the_shape_of_their_argument(method, values):
+    # a scalar gives a scalar with the bits of the one-element array's value,
+    # and a 2-D array keeps its shape with the bits of the flat call (the
+    # bisection stops when every value's bracket is narrow, so a value's
+    # bits may depend on the others in its call)
+    f = getattr(SOL, method)
+    for i, value in enumerate(values):
+        scalar = f(1.0, value)
+        assert np.ndim(scalar) == 0 and isinstance(scalar, float)
+        assert np.float64(scalar).tobytes() == f(1.0, values[i:i + 1]).tobytes()
+    square = f(1.0, values.reshape(2, 3))
+    assert square.shape == (2, 3)
+    assert square.tobytes() == f(1.0, values).tobytes()
+
+
+def test_cdf_limits_at_the_float_range_without_warning():
+    # 2x and x/scale overflow to +-inf, where the limits 0 and 1 are right
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert SOL.cdf(1.0, np.array([-9e307, 9e307])).tolist() == [0.0, 1.0]
 
 
 def test_cdf_stable_for_extreme_arguments():

@@ -10,7 +10,7 @@ import rankflow.harness as harness
 from oracles import psi_grid_free_unblocked, w1_cdf_form, w_rho_empirical
 from rankflow import (BurgersSolution, ConfigError, FluxFunction, GridSpec, SimulationConfig,
                       StudySpec, empirical_cdf_at, phi_grid, psi_grid_free)
-from rankflow.exact import _BLOCK
+from rankflow.metrics import _BLOCK
 
 
 def uniform_cdf(x):
@@ -155,7 +155,7 @@ def test_blocked_psi_is_the_whole_array_sum_bitwise(n, order):
 
 def test_psi_writes_over_neither_its_sample_nor_a_read_only_cdf():
     # an identity CDF hands back the sorted sample itself, a cached one a
-    # read-only array: the terms go to a copy of either
+    # read-only array: the terms go to the estimator's own array
     x = np.random.default_rng(4).random(1000)
     frozen = np.sort(x)
     frozen.setflags(write=False)

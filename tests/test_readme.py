@@ -13,7 +13,9 @@ import pytest
 
 import rankflow
 import rankflow.cli as cli
+import rankflow.engine as engine
 import rankflow.harness as harness
+import rankflow.metrics as metrics
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -76,3 +78,6 @@ def test_readme_memory_figures_are_the_harness_constants():
     # the memory check's need, as README states it
     assert re.findall(r"\((\d+) bytes a particle\)", README) == [str(harness._BYTES_PER_PARTICLE)]
     assert re.findall(r"\((\d+) bytes a cell\)", README) == [str(harness._BYTES_PER_CELL)]
+    # the block sizes of the grid-free estimator and of the increment draws
+    blocks = [2 ** int(e) for e in re.findall(r"`2\*\*(\d+)` values", README)]
+    assert blocks == [metrics._BLOCK, engine._DRAW_BLOCK]
