@@ -11,7 +11,7 @@ Brownian increments.  Two drift variants are supported:
   polynomial flux extends naturally;
 * fractional rank: the flux derivative evaluated at q/n.
 
-:func:`_drift_table` is the one definition of both tables.
+:func:`_drift` is the one definition of both, for any block of ranks.
 
 For the Burgers flux the two variants differ by exactly 1/(2n) in every
 coefficient.  With all particles tied (the Dirac start) the stable
@@ -20,8 +20,10 @@ develops the rarefaction fan of the limiting profile.
 
 Positions leave the engine in original index order: the per-step ranking
 is its only sort, and :mod:`rankflow.metrics` sorts a final sample.  A
-step scatters its drift table through that sort order, so the ranks are
-never stored.
+step adds each rank's drift to the particle at that place of the sort
+order, so the ranks are never stored.  A run holds its positions in one
+array, updated in place by every step: a yielded array is overwritten by
+the next step.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ _STEP_SLACK = 1e-9
 
 #: most Euler steps one run may take (horizon / step); more is a config error
 MAX_STEPS = 10**9
+
+#: ranks per block of a step's drift update and of the packed words' keys:
+#: a block array takes 64 KB whatever the particle count
+_BLOCK = 2**13
 
 #: most increments drawn at once: a block holds whole steps of n values
 _DRAW_BLOCK = 2**16
@@ -134,18 +140,20 @@ def _strictly_increasing(xs: np.ndarray) -> bool:
 
 
 def _fixed_point(x: np.ndarray, lo: float, scale: float, out: np.ndarray) -> np.ndarray:
-    """``(x - lo) * scale`` truncated to uint64, formed in ``out``: monotone in x.
+    """``(x - lo) * scale`` truncated to uint64, formed in the first
+    ``x.size`` values of ``out``: monotone in x.
 
     The product is taken in ``out`` read as float64, then cast in place,
     which numpy does as if from a copy: the bits of ``astype(np.uint64)``.
     """
+    out = out[:x.size]
     keys = np.subtract(x, lo, out=out.view(np.float64))
     keys *= scale
     np.copyto(out, keys, casting="unsafe")
     return out
 
 
-def _packed_order(x: np.ndarray, scratch: np.ndarray) -> np.ndarray | slice | None:
+def _packed_order(x: np.ndarray) -> np.ndarray | slice | None:
     """The stable sort order of ``x`` from one value sort of uint64 words.
 
     Word i holds the fixed-point key ``(x[i] - min) * 2**(63-b) / (max - min)``
@@ -162,9 +170,8 @@ def _packed_order(x: np.ndarray, scratch: np.ndarray) -> np.ndarray | slice | No
     finite (a NaN, an infinity or an overflowing difference).
 
     The words, which start as the index ramp, are the one array of n
-    values this allocates.  ``scratch``, n uint64 values that must not
-    overlap ``x`` and whose contents are not kept, holds the fixed-point
-    keys, then the sorted keys.
+    values this allocates: the keys are formed, and after the sort
+    compared, ``_BLOCK`` words at a time.
     """
     n = x.size
     lo, hi = float(x.min()), float(x.max())
@@ -176,130 +183,168 @@ def _packed_order(x: np.ndarray, scratch: np.ndarray) -> np.ndarray | slice | No
     scale = 2.0 ** (63 - b) / span if span < np.inf else np.inf
     if scale == np.inf:
         return None
+    shift = np.uint64(b)
     words = np.arange(n, dtype=np.uint64)
-    keys = _fixed_point(x, lo, scale, scratch)
-    keys <<= np.uint64(b)
-    words |= keys
+    keys = np.empty(min(n, _BLOCK + 1), np.uint64)
+    for start in range(0, n, _BLOCK):
+        block = _fixed_point(x[start:start + _BLOCK], lo, scale, keys)
+        block <<= shift
+        words[start:start + _BLOCK] |= block
     words.sort()
-    keys = np.right_shift(words, np.uint64(b), out=keys)
+    shared = []
+    for start in range(0, n - 1, _BLOCK):  # consecutive blocks share a word
+        block = words[start:start + _BLOCK + 1]
+        block = np.right_shift(block, shift, out=keys[:block.size])
+        collided = block[:-1] == block[1:]
+        if np.count_nonzero(collided):
+            shared.append(np.flatnonzero(collided) + start)
     words &= np.uint64((1 << b) - 1)
     order = words.view(np.intp)
-    collided = keys[:-1] == keys[1:]
-    if not np.count_nonzero(collided):
+    if not shared:
         return order
+    shared = np.concatenate(shared)
     # all runs at once: the runs lie in key order, and so in value order
-    shared = np.flatnonzero(collided)
     runs = np.union1d(shared, shared + 1)
     order[runs] = order[runs[x[order[runs]].argsort(kind="stable")]]
     return order
 
 
-def zero_based_ranks(positions: np.ndarray, table: np.ndarray,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``table[rank]`` for each particle, written into ``out``.
+def zero_based_ranks(positions: np.ndarray) -> np.ndarray | slice:
+    """The stable sort order of ``positions``: particle ``order[q]`` has
+    zero-based rank q.
 
     The rank selects the drift coefficient: it is the number of strictly
     smaller particles, and tied particles get distinct consecutive ranks in
-    original index order.  The ranks are never stored: the n values of
-    ``table`` are scattered through the sort order (``out[order] = table``),
-    so ``table = arange(n)`` gives the ranks themselves.  ``table`` holds
-    8-byte values (float64 drift, or intp ranks).  ``out``, an array of n
-    values of ``table``'s dtype that does not overlap ``positions``, is
-    written over and returned; without it a new array is.
+    original index order.  The ranks themselves are never stored: the step
+    kernel adds coefficient q to particle ``order[q]``.  The order is an
+    intp array of n values, or the slice ``slice(None)`` when it is the
+    identity.
 
     Below ``_STABLE_BELOW`` values the order comes from the stable sort.
     From ``_PACKED_FROM`` on it comes from one value sort of packed
     key|index words (:func:`_packed_order`), which is exact, or is the
-    identity slice when every value ties (the Dirac step), so the scatter
-    is a plain copy.  The packed path forms its keys in ``out`` before the
-    scatter writes over them, so its words are the one array of n values a
-    call allocates.  In between, and when the packed
-    words cannot be formed, the order comes from numpy's default (SIMD,
-    unstable) sort, which is faster there.  Without ties every correct
-    sort yields the same permutation; only when the sorted values are not
-    strictly increasing (an exact tie, which includes ``-0.0`` against
-    ``+0.0``, or a NaN) is the order redone with the stable sort, so the
-    ranks are those of the stable sort in every case.
+    identity slice when every value ties (the Dirac step); its words are
+    the one array of n values a call allocates.  In between, and when the
+    packed words cannot be formed, the order comes from numpy's default
+    (SIMD, unstable) sort, which is faster there.  Without ties every
+    correct sort yields the same permutation; only when the sorted values
+    are not strictly increasing (an exact tie, which includes ``-0.0``
+    against ``+0.0``, or a NaN) is the order redone with the stable sort,
+    so the ranks are those of the stable sort in every case.
     """
     x = np.asarray(positions, dtype=float)
     n = x.size
-    if out is None:
-        out = np.empty(n, table.dtype)
     if n < _STABLE_BELOW:
+        return x.argsort(kind="stable")
+    if n >= _PACKED_FROM and (order := _packed_order(x)) is not None:
+        return order
+    order = x.argsort()
+    if not _strictly_increasing(x[order]):
         order = x.argsort(kind="stable")
-    elif n < _PACKED_FROM or (order := _packed_order(x, out.view(np.uint64))) is None:
-        order = x.argsort()
-        if not _strictly_increasing(x[order]):
-            order = x.argsort(kind="stable")
-    out[order] = table
-    return out
+    return order
+
+
+def _drift(flux: FluxFunction, n: int, scheme: str, start: int, stop: int) -> np.ndarray:
+    """Drift coefficients of the zero-based ranks ``start..stop-1`` of n
+    particles: the flux derivative at q/n for the fractional scheme, else
+    the cell average over [(q-1)/n, q/n], in closed form for Burgers
+    (differencing the flux cancels at large n).  Each coefficient has the
+    same bits whatever ``start`` and ``stop``."""
+    if scheme == FRACTIONAL_RANK:
+        return np.asarray(flux.derivative(np.arange(start, stop, dtype=float) / n), dtype=float)
+    if flux.is_burgers:
+        # 1 - (2q - 1) / (2n), formed in place
+        table = np.arange(start, stop, dtype=float)
+        table *= 2.0
+        table -= 1.0
+        table /= 2.0 * n
+        return np.subtract(1.0, table, out=table)
+    edges = np.arange(start - 1, stop, dtype=float) / n
+    return n * np.diff(npoly.polyval(edges, flux.coefficients))
 
 
 @lru_cache(maxsize=64)
 def _drift_table(flux: FluxFunction, n: int, scheme: str) -> np.ndarray:
-    """Drift coefficient per zero-based rank q, cached per (flux, n, scheme)
-    and read-only: the flux derivative at q/n for the fractional scheme,
-    else the cell average over [(q-1)/n, q/n], in closed form for Burgers
-    (differencing the flux cancels at large n)."""
-    if scheme == FRACTIONAL_RANK:
-        table = np.asarray(flux.derivative(np.arange(n, dtype=float) / n), dtype=float)
-    elif flux.is_burgers:
-        table = 1.0 - (2.0 * np.arange(n, dtype=float) - 1.0) / (2.0 * n)
-    else:
-        table = n * np.diff(npoly.polyval(np.arange(-1, n, dtype=float) / n, flux.coefficients))
+    """The drift coefficient of every zero-based rank (:func:`_drift`),
+    cached per (flux, n, scheme) and read-only."""
+    table = _drift(flux, n, scheme, 0, n)
     table.setflags(write=False)
     return table
 
 
-def _advance(x: np.ndarray, drift: np.ndarray, sigma: float, h: float, n_full: int,
-             last: float, rng: np.random.Generator) -> Iterator[np.ndarray]:
+def _add_through(x: np.ndarray, at: np.ndarray | slice, values: np.ndarray) -> None:
+    """``x[at] += values`` for an index array ``at`` without repeats, or a
+    slice, which ``np.add.at`` would add value by value."""
+    if isinstance(at, slice):
+        x[at] += values
+    else:
+        np.add.at(x, at, values)
+
+
+def _add_drift(x: np.ndarray, order: np.ndarray | slice, flux: FluxFunction, scheme: str,
+               dt: float) -> None:
+    """Adds the drift coefficient of rank q times ``dt`` to ``x[order[q]]``,
+    ``_BLOCK`` ranks at a time: each block of coefficients is formed by
+    :func:`_drift` and dropped before the next."""
+    n = x.size
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        moved = _drift(flux, n, scheme, start, stop)
+        moved *= dt
+        _add_through(x, slice(start, stop) if isinstance(order, slice) else order[start:stop],
+                     moved)
+        del moved
+
+
+def _advance(x: np.ndarray, flux: FluxFunction, scheme: str, sigma: float, h: float,
+             n_full: int, last: float, rng: np.random.Generator) -> Iterator[np.ndarray]:
     """The Euler step kernel: yields the positions after every step.
 
     Takes ``n_full`` steps of length ``h``, then one of length ``last`` when
-    ``last > 0``.  A step ranks its input first: :func:`zero_based_ranks`
-    scatters the step's drift through the input's sort order into the
-    output, so no ranks array is built.  Only then does it draw: increments
-    come whole steps at a time, one ``(rows, n)`` block per draw of at most
-    ``_DRAW_BLOCK`` values (one row when n is larger), so particle i at
-    step k still consumes position k*n + i of ``rng``'s stream, and a
-    block's draws are dropped before the next block ranks.
+    ``last > 0``.  It steps its own copy of ``x`` and never writes the
+    caller's array.  The positions live in that one buffer and each step
+    updates it in place, so a yielded array is overwritten by the next step.
 
-    The positions live in two buffers used in turn: a step writes over the
-    input of the step before it, and never over the caller's input, so a
-    yielded array is overwritten two steps later.  With one row per draw
-    the drift table itself is scattered and the result multiplied by the
-    step length in place, so a step holds four arrays of n values at its
-    peak: the cached drift table, its input, its output, and the packed
-    sort words while it ranks or the increments after.  Smaller runs
-    scatter a per-run product ``drift * h`` (``drift * last`` for a partial
-    step), which saves a pass per step.
+    A step ranks first (:func:`zero_based_ranks`), then adds the drift
+    coefficient of rank q times the step length to particle ``order[q]``
+    (:func:`_add_through`); no ranks array is built.  Only then does it
+    draw: increments come whole steps at a time, one ``(rows, n)`` block
+    per draw of at most ``_DRAW_BLOCK`` values (one row when n is larger),
+    so particle i at step k still consumes position k*n + i of ``rng``'s
+    stream, and a block's draws are dropped before the next block ranks.
+    With one row per draw the coefficients are computed block by
+    block (:func:`_add_drift`) and the sort order is dropped before the
+    draw, so a step holds two arrays of n values at its peak: the
+    positions, and the packed sort words while it ranks or the increments
+    after.  Smaller runs keep a per-run product of the cached drift table
+    and ``h`` (``last`` for a partial step) and add it in one call, which
+    saves the coefficients' passes.
 
     A step gives the bits of ``drift[r]*dt + x + z*(sigma*sqrt(dt))``,
-    added in that order; each block's rows are scaled by their step's
-    ``sigma*sqrt(dt)`` as soon as they are drawn.
+    added in that order (addition commutes bit for bit); each block's rows
+    are scaled by their step's ``sigma*sqrt(dt)`` as soon as they are drawn.
     """
+    x = np.array(x, dtype=float)
     n = x.size
     n_steps = n_full + (last > 0.0)
     rows = max(1, _DRAW_BLOCK // n)
-    table = drift if rows == 1 else drift * h
-    spare = None
+    table = _drift_table(flux, n, scheme) * h if rows > 1 else None
     for first in range(0, n_steps, rows):
         noise = None
         for k in range(first, min(first + rows, n_steps)):
-            if k == n_full and rows > 1:
-                table = drift * last
-            moved = zero_based_ranks(x, table, out=spare)
-            if rows == 1:
-                moved *= h if k < n_full else last
+            if k == n_full and table is not None:
+                table = _drift_table(flux, n, scheme) * last
+            # no name holds the sort order, so its words go before the increments come
+            if table is None:
+                _add_drift(x, zero_based_ranks(x), flux, scheme, h if k < n_full else last)
+            else:
+                _add_through(x, zero_based_ranks(x), table)  # the whole table as one block
             if noise is None:
                 noise = standard_normals(rng, (min(rows, n_steps - first), n))
                 full = min(len(noise), n_full - first)
                 noise[:full] *= sigma * np.sqrt(h)
                 noise[full:] *= sigma * np.sqrt(last)  # the partial last step, if any
-            moved += x
-            moved += noise[k - first]
-            spare = x if k else None
-            x = moved
+            x += noise[k - first]
             yield x
 
 
@@ -321,9 +366,9 @@ def simulate(config: SimulationConfig,
     init_rng = make_generator(derive_seed(config.seed, 0))
     steps_rng = make_generator(derive_seed(config.seed, 1))
 
-    x = config.init.positions(n, init_rng)
+    start = config.init.positions(n, init_rng)
     if snapshot is not None:
-        snapshot(0.0, x.copy())
+        snapshot(0.0, start.copy())
 
     n_full = int(np.floor(horizon / h + _STEP_SLACK))
     remainder = horizon - n_full * h
@@ -331,8 +376,9 @@ def simulate(config: SimulationConfig,
         remainder = 0.0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = _drift_table(config.flux, n, config.scheme)
-        steps = _advance(x, drift, config.sigma, h, n_full, remainder, steps_rng)
+        steps = _advance(start, config.flux, config.scheme, config.sigma, h, n_full,
+                         remainder, steps_rng)
+        del start  # the kernel's copy is the one array of positions while it steps
         for k, x in enumerate(steps, 1):
             if snapshot is not None:
                 snapshot(k * h if k <= n_full else horizon, x.copy())

@@ -52,11 +52,11 @@ SWEEP_N = "n"
 SWEEP_H = "h"
 
 #: peak bytes per particle of one run, the step kernel and the strong
-#: estimator together: 33.0 under tracemalloc at N=70000 and at N=500000,
-#: the step's four arrays of float64 (drift table, input, output, and sort
-#: words or increments) and its one-byte key collision mask, rounded up to
-#: five arrays
-_BYTES_PER_PARTICLE = 40
+#: estimator together: 17.4 under tracemalloc at N=70000 and 16.2 at
+#: N=500000, two arrays of float64 (the positions, and the sort words or
+#: the increments; the estimator's sample and its sorted copy) and a few
+#: fixed-size blocks, rounded up
+_BYTES_PER_PARTICLE = 18
 
 #: peak bytes per cell of the exact-quantile bisection of a weak grid: 67
 #: under tracemalloc at K=5000 and at K=10**6, rounded up

@@ -53,7 +53,9 @@ class Uniform(InitialDistribution):
             raise ConfigError("uniform law needs finite lower < upper")
 
     def _quantile(self, u):
-        return self.lower + (self.upper - self.lower) * u
+        x = u * (self.upper - self.lower)
+        x += self.lower
+        return x
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,10 @@ class Gaussian(InitialDistribution):
             raise ConfigError("gaussian law needs a finite mean and a finite stddev > 0")
 
     def _quantile(self, u):
-        return self.mean + self.stddev * ndtri(u)
+        x = ndtri(u)
+        x *= self.stddev
+        x += self.mean
+        return x
 
 
 # -- placement rules -------------------------------------------------------

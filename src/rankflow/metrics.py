@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import ConfigError
 
-#: gaps per block of the grid-free sum: a block array takes 256 KB whatever
-#: the sample size, so from about N=58000 on the estimator, with three sample
-#: arrays and two blocks, peaks below the step kernel's four sample arrays
-_BLOCK = 2**15
+#: gaps per block of the grid-free sum: the estimate holds the sorted sample
+#: and three blocks of 32 KB whatever the sample size, so from N=70000 on it
+#: peaks within 1.5 bytes a particle of the sample and its sorted copy
+_BLOCK = 2**12
 
 
 def _sorted_sample(positions) -> np.ndarray:
@@ -58,38 +58,41 @@ def psi_grid_free(positions, exact_cdf: Callable[[np.ndarray], np.ndarray]) -> f
     leaves no gap, so the sum is empty and the estimate is 0.
 
     The CDF is evaluated and the terms written ``_BLOCK`` gaps at a time,
-    into one array of the n - 1 terms summed as one array, so at its peak
-    the estimate holds the sorted sample, the terms and two blocks.
+    over the sorted copy itself: the gaps of a block are taken before it
+    is written, and its last point, the next block's first, is not.  The
+    n - 1 terms are then summed as one array, so at its peak the estimate
+    holds the sorted sample and three blocks.
     """
     y = _sorted_sample(positions)
     n = y.size
-    terms = np.empty(n - 1)
     # a block's CDF values are dropped before the next block's are evaluated;
     # a gap that overflows makes the estimate inf or nan, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n - 1, _BLOCK):
             stop = min(start + _BLOCK, n - 1)
-            _write_terms(y, exact_cdf(y[start:stop + 1]), terms, start, stop)
+            _write_terms(y, exact_cdf(y[start:stop + 1]), start, stop)
     # np.sum's pairwise tree sees the n - 1 terms in order, as one array
-    return float(np.sum(terms))
+    return float(np.sum(y[:n - 1]))
 
 
-def _write_terms(y: np.ndarray, ref: np.ndarray, terms: np.ndarray, start: int, stop: int) -> None:
-    """Terms ``start..stop-1`` of the grid-free sum into ``terms[start:stop]``,
-    from the CDF values ``ref`` at ``y[start:stop+1]``, which it only reads.
+def _write_terms(y: np.ndarray, ref: np.ndarray, start: int, stop: int) -> None:
+    """Terms ``start..stop-1`` of the grid-free sum written over
+    ``y[start:stop]``, from the CDF values ``ref`` at ``y[start:stop+1]``,
+    which it only reads and which may be a view of ``y``.
 
     Term i is ``(|ref[i+1] - level| + |ref[i] - level|) * ((y[i+1] - y[i])
-    * 0.5)`` with ``level = (i+1)/n``, ``ref`` indexed from ``start``.
+    * 0.5)`` with ``level = (i+1)/n``, ``ref`` indexed from ``start``; all
+    of it is formed in two blocks before ``y`` is written.
     """
     levels = np.arange(start + 1, stop + 1, dtype=float)
     levels /= y.size
-    out = np.subtract(ref[1:], levels, out=terms[start:stop])
+    out = np.subtract(ref[1:], levels)
     np.abs(out, out=out)
     below = np.subtract(ref[:-1], levels, out=levels)
     out += np.abs(below, out=below)
     width = np.subtract(y[start + 1:stop + 1], y[start:stop], out=levels)
     width *= 0.5
-    out *= width
+    np.multiply(out, width, out=y[start:stop])
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ law's CDF, integrated quantile and support), W_rho and the CDF form of W1
 between two samples, weak-inequality rank counts, the PDE residual of the
 exact Burgers solution, the one-based rank coefficients and the speed
 bounds of a flux, the Gaussian heat kernel with its analytic identities,
-the uniform lattice built from ``Generator.random``, and the exact CDF
+the uniform lattice built from ``Generator.random``, the central branch
+of Cephes' inverse normal CDF, and the drift table, the exact CDF
 and the grid-free estimate computed over whole arrays, which the
 package's block-by-block versions must equal bit for bit.
 """
@@ -38,6 +39,41 @@ def lattice_uniforms(rng: np.random.Generator, size) -> np.ndarray:
     must equal bit for bit while consuming the same stream.
     """
     return (np.floor(rng.random(size) * 2.0**52) + 0.5) / 2.0**52
+
+
+#: Cephes' ``ndtri``: sqrt(2 pi), and the central branch's rational
+#: approximation P0/Q0 in y - 0.5 (Q0 without its leading 1)
+_S2PI = 2.50662827463100050242e0
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+#: exp(-2): the central branch takes exp(-2) < y <= 1 - exp(-2)
+_EXP_M2 = 0.13533528323661269189
+
+
+def ndtri_central(u: np.ndarray) -> np.ndarray:
+    """The central branch of Cephes' ``ndtri`` in numpy, NaN outside it.
+
+    After Cephes' flip ``y -> 1 - y`` above ``1 - exp(-2)``, the branch
+    takes ``y > exp(-2)``: ``y -= 0.5``, then ``y + y * (y2 * polevl(y2, P0)
+    / p1evl(y2, Q0))`` with ``y2 = y * y``, times ``sqrt(2 pi)``.  The
+    polynomials are evaluated in Horner order, as ``polevl`` and ``p1evl``
+    do, one rounding per operation.
+    """
+    y = np.asarray(u, dtype=float)
+    central = (y > _EXP_M2) & ~(y > 1.0 - _EXP_M2)
+    y = y - 0.5
+    y2 = y * y
+    num = np.full_like(y, _P0[0])
+    for c in _P0[1:]:
+        num = num * y2 + c
+    den = y2 + _Q0[0]
+    for c in _Q0[1:]:
+        den = den * y2 + c
+    x = y + y * (y2 * num / den)
+    return np.where(central, x * _S2PI, np.nan)
 
 
 # -- ranks -------------------------------------------------------------------
@@ -129,6 +165,17 @@ def rank_coefficients(flux: FluxFunction, n: int) -> np.ndarray:
     if flux.is_burgers:
         return 1.0 - (2.0 * np.arange(1, n + 1, dtype=float) - 1.0) / (2.0 * n)
     return n * np.diff(npoly.polyval(np.arange(n + 1, dtype=float) / n, flux.coefficients))
+
+
+def drift_table_unblocked(flux: FluxFunction, n: int, scheme: str) -> np.ndarray:
+    """The drift coefficient of every zero-based rank over the whole rank
+    ramp at once, in the operation order of ``rankflow.engine._drift``."""
+    q = np.arange(n, dtype=float)
+    if scheme == "frac":
+        return np.asarray(flux.derivative(q / n), dtype=float)
+    if flux.is_burgers:
+        return 1.0 - (2.0 * q - 1.0) / (2.0 * n)
+    return n * np.diff(npoly.polyval(np.arange(-1, n, dtype=float) / n, flux.coefficients))
 
 
 # -- exact solution ----------------------------------------------------------

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
-from oracles import QuantileTable, lipschitz_speed, max_speed, rank_counts
+from oracles import (QuantileTable, drift_table_unblocked, lipschitz_speed, max_speed,
+                     rank_counts)
 from rankflow import (BurgersSolution, ConfigError, FluxFunction, Gaussian, InitRule,
                       NumericalError, SimulationConfig, Uniform,
                       empirical_cdf_at, optimal_positions, psi_grid_free, simulate)
@@ -37,7 +40,9 @@ def test_rank_counts_single():
 
 def ranks(x):
     """The zero-based ranks of ``x``: the index ramp scattered through its order."""
-    return zero_based_ranks(x, np.arange(x.size))
+    ranks = np.empty(x.size, dtype=np.intp)
+    ranks[zero_based_ranks(x)] = np.arange(x.size)
+    return ranks
 
 
 def test_zero_based_ranks_distinct_match_counts():
@@ -66,12 +71,16 @@ def tie_heavy(sizes):
                      sizes, atoms.map(np.array), st.integers(0, 2**32 - 1))
 
 
-def stable_ranks(x, table=None, out=None):
-    """The stable-sort ranks of ``x``, or ``table`` gathered through them,
-    into ``out`` when given, as the step kernel calls ``zero_based_ranks``."""
+def stable_order(x):
+    """The stable sort order of ``x``, as the step kernel calls ``zero_based_ranks``."""
+    return np.argsort(x, kind="stable")
+
+
+def stable_ranks(x):
+    """The stable-sort ranks of ``x``."""
     ranks = np.empty(x.size, dtype=np.intp)
-    ranks[np.argsort(x, kind="stable")] = np.arange(x.size)
-    return ranks if table is None else np.take(table, ranks, out=out)
+    ranks[stable_order(x)] = np.arange(x.size)
+    return ranks
 
 
 #: sample sizes on each side of the stable-sort and packed-word cut-overs
@@ -126,16 +135,12 @@ def test_zero_based_ranks_packed_edge_cases(x):
 
 
 def test_all_equal_step_forms_no_words(monkeypatch):
-    # the Dirac step takes the identity order: no key, no sort, a plain copy
+    # the Dirac step takes the identity order: no key, no sort, no array
     def forms_words(*args):
         raise AssertionError("packed words formed")
 
     monkeypatch.setattr(engine, "_fixed_point", forms_words)
-    table = drift_like_table(2 * engine._PACKED_FROM)
-    out = zero_based_ranks(np.zeros(table.size), table)
-    assert out.tobytes() == table.tobytes()
-    assert out.flags.writeable
-    assert not np.shares_memory(out, table)
+    assert zero_based_ranks(np.zeros(2 * engine._PACKED_FROM)) == slice(None)
 
 
 #: cut-overs (_STABLE_BELOW, _PACKED_FROM) that send every size down one path
@@ -153,23 +158,25 @@ def on_each_path(rank):
     return results
 
 
-def drift_like_table(n):
-    """n distinct read-only floats with a signed zero and a NaN among them."""
-    table = np.concatenate([[-0.0, np.nan], make_generator(n).standard_normal(n)])[:n]
-    table.setflags(write=False)
-    return table
+def kernel_step(x):
+    """One step of the step kernel from ``x``: h = 0.25, sigma = 0.4."""
+    return next(engine._advance(x, BURGERS, "rank", 0.4, 0.25, 1, 0.0, make_generator(2)))
+
+
+def euler_step(x):
+    """The same step by the Euler recursion, gathering the drift through the stable ranks."""
+    drift = drift_table_unblocked(BURGERS, x.size, "rank")
+    z = standard_normals(make_generator(2), (1, x.size))[0]
+    return drift[stable_ranks(x)] * 0.25 + x + z * (0.4 * np.sqrt(0.25))
 
 
 def assert_scatter_is_gather_through_ranks(x):
-    table = drift_like_table(x.size)
-    before = table.tobytes()
-    for path, (out, rank) in on_each_path(
-            lambda: (zero_based_ranks(x, table), ranks(x))).items():
+    # on every ranking path the kernel adds coefficient q to particle order[q]
+    before = x.tobytes()
+    for path, (moved, rank) in on_each_path(lambda: (kernel_step(x), ranks(x))).items():
         assert rank.tobytes() == stable_ranks(x).tobytes(), path
-        assert out.tobytes() == table[rank].tobytes(), path
-        # the kernel adds to the result in place
-        assert out.flags.writeable and not np.shares_memory(out, table), path
-    assert table.tobytes() == before
+        assert moved.tobytes() == euler_step(x).tobytes(), path
+    assert x.tobytes() == before
 
 
 @settings(deadline=None)
@@ -204,47 +211,88 @@ IID_GAUSS = InitRule(IID, Gaussian(0.0, 1.0))
 
 #: two steps per draw block: blocks hold steps (0, 1), (2, 3), (4, 5), (6,)
 TWO_ROWS = engine._DRAW_BLOCK // 3 + 1
-#: one step per draw: the kernel scatters the drift table itself, scales
-#: it by the step in place and draws after it ranks
+#: one step per draw: the kernel computes the drift coefficients a block of
+#: ranks at a time, and draws after it ranks
 ONE_ROW = 70_000
+#: a cubic flux, whose rank coefficients are differences of the flux
+CUBIC = FluxFunction.polynomial((0.2, -0.4, 0.1, 1.0 / 3.0))
 
 
-@pytest.mark.parametrize("n, init, step, horizon, n_full", [
+@pytest.mark.parametrize("n, init, step, horizon, n_full, flux, scheme", [
     # 6 full steps, and the partial step opens the fourth block
-    (TWO_ROWS, InitRule(), 0.25, 1.6, 6), (TWO_ROWS, IID_GAUSS, 0.25, 1.6, 6),
+    (TWO_ROWS, InitRule(), 0.25, 1.6, 6, BURGERS, "rank"),
+    (TWO_ROWS, IID_GAUSS, 0.25, 1.6, 6, BURGERS, "rank"),
     # 5 full steps, and the partial step shares the third block with a full one
-    (TWO_ROWS, InitRule(), 0.25, 1.4, 5), (TWO_ROWS, IID_GAUSS, 0.25, 1.4, 5),
+    (TWO_ROWS, InitRule(), 0.25, 1.4, 5, BURGERS, "rank"),
+    (TWO_ROWS, IID_GAUSS, 0.25, 1.4, 5, BURGERS, "rank"),
     # 6 full steps fill three blocks, and there is no partial step
-    (TWO_ROWS, InitRule(), 0.25, 1.5, 6), (TWO_ROWS, IID_GAUSS, 0.25, 1.5, 6),
-    # 3 full steps and a partial one, each drawn alone, in two buffers in turn
-    (ONE_ROW, IID_GAUSS, 0.3, 1.0, 3),
+    (TWO_ROWS, InitRule(), 0.25, 1.5, 6, BURGERS, "rank"),
+    (TWO_ROWS, IID_GAUSS, 0.25, 1.5, 6, BURGERS, "rank"),
+    # 3 full steps and a partial one, each drawn alone into the one buffer
+    (ONE_ROW, IID_GAUSS, 0.3, 1.0, 3, BURGERS, "rank"),
+    (ONE_ROW, IID_GAUSS, 0.3, 1.0, 3, CUBIC, "rank"),
+    (ONE_ROW, IID_GAUSS, 0.3, 1.0, 3, BURGERS, FRACTIONAL_RANK),
+    (ONE_ROW, IID_GAUSS, 0.3, 1.0, 3, CUBIC, FRACTIONAL_RANK),
+    # every value ties at the first step: the identity order, block by block
+    (ONE_ROW, InitRule(), 0.3, 1.0, 3, BURGERS, "rank"),
 ], ids=["dirac", "iid", "dirac-partial-step-ends-a-block", "iid-partial-step-ends-a-block",
-        "dirac-no-partial-step", "iid-no-partial-step", "one-row-iid-partial-step"])
-def test_simulate_equals_chain_of_euler_steps(n, init, step, horizon, n_full):
+        "dirac-no-partial-step", "iid-no-partial-step", "one-row-iid-partial-step",
+        "one-row-cubic-partial-step", "one-row-frac-partial-step",
+        "one-row-cubic-frac-partial-step", "one-row-dirac-partial-step"])
+def test_simulate_equals_chain_of_euler_steps(n, init, step, horizon, n_full, flux, scheme):
     assert engine._DRAW_BLOCK // TWO_ROWS == 2 and engine._DRAW_BLOCK // ONE_ROW == 0
-    cfg = config(n_particles=n, step=step, horizon=horizon, sigma=0.4, init=init, seed=8)
+    assert ONE_ROW % engine._BLOCK  # the last block of ranks is a short one
+    cfg = config(n_particles=n, step=step, horizon=horizon, sigma=0.4, init=init, seed=8,
+                 flux=flux, scheme=scheme)
     steps = [cfg.step] * n_full
     last = cfg.horizon - n_full * cfg.step
     if last > 1e-9:
         steps.append(last)
     x = init.positions(n, make_generator(derive_seed(cfg.seed, 0)))
     noise = standard_normals(make_generator(derive_seed(cfg.seed, 1)), (len(steps), n))
-    drift = engine._drift_table(cfg.flux, n, cfg.scheme)
+    drift = drift_table_unblocked(cfg.flux, n, cfg.scheme)
     for dt, z in zip(steps, noise):
         # the Euler recursion, in the step kernel's order of operations
         x = drift[stable_ranks(x)] * dt + x + z * (cfg.sigma * np.sqrt(dt))
     assert simulate(cfg).positions.tobytes() == x.tobytes()
 
 
+@pytest.mark.parametrize("flux", [BURGERS, CUBIC], ids=["burgers", "cubic"])
+@pytest.mark.parametrize("scheme", ["rank", FRACTIONAL_RANK])
+def test_drift_blocks_equal_the_whole_table(flux, scheme):
+    # a block of ranks gets the bits of the same ranks of the whole table
+    n = ONE_ROW + 1
+    table = drift_table_unblocked(flux, n, scheme)
+    assert engine._drift_table.__wrapped__(flux, n, scheme).tobytes() == table.tobytes()
+    for start in (0, 1, 8191, 8192, n - 5):
+        stop = min(start + 8192, n)
+        assert engine._drift(flux, n, scheme, start, stop).tobytes() == table[start:stop].tobytes()
+
+
 @pytest.mark.parametrize("n", [TWO_ROWS, ONE_ROW], ids=["two-rows", "one-row"])
 def test_kernel_never_writes_its_input(n):
-    # the steps write over each other's buffers, never over the caller's
+    # the kernel steps its own copy, never the caller's array
     start = make_generator(1).random(n)
     before = start.tobytes()
-    drift = engine._drift_table(BURGERS, n, "rank")
-    for x in engine._advance(start, drift, 0.4, 0.25, 5, 0.1, make_generator(2)):
+    for x in engine._advance(start, BURGERS, "rank", 0.4, 0.25, 5, 0.1, make_generator(2)):
         assert not np.shares_memory(x, start)
     assert start.tobytes() == before
+
+
+def test_one_row_step_holds_two_particle_arrays_and_its_blocks():
+    # the positions and the sort words while a step ranks, the positions and
+    # the increments after; the start goes once the kernel has its copy
+    n = ONE_ROW
+    tracemalloc.start()
+    try:
+        steps = engine._advance(make_generator(1).random(n), BURGERS, "rank", 0.4, 0.25, 3,
+                                0.1, make_generator(2))
+        for _ in steps:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 2 * n * 8 < peak < 2 * n * 8 + 2 * engine._BLOCK * 8 + 16384
 
 
 @pytest.mark.parametrize("init", [InitRule(), IID_GAUSS], ids=["dirac", "iid"])
@@ -253,7 +301,7 @@ def test_packed_ranks_keep_simulate_bitwise(init, monkeypatch):
     cfg = config(n_particles=2 * engine._PACKED_FROM, step=0.05, horizon=0.5, sigma=0.4,
                  init=init, seed=21)
     packed = simulate(cfg).positions
-    monkeypatch.setattr(engine, "zero_based_ranks", stable_ranks)
+    monkeypatch.setattr(engine, "zero_based_ranks", stable_order)
     assert simulate(cfg).positions.tobytes() == packed.tobytes()
 
 

@@ -263,11 +263,10 @@ def traced_peak(work) -> int:
         tracemalloc.stop()
 
 
-def test_memory_model_bounds_the_measured_peaks(monkeypatch):
+def test_memory_model_bounds_the_measured_peaks():
     # the bytes per particle bound one strong run (step kernel and estimator),
     # the bytes per cell one weak grid's exact-quantile bisection
     n, k = 70_000, 20_000
-    monkeypatch.setattr(engine, "_drift_table", engine._drift_table.__wrapped__)
     config = burgers_config(n_particles=n, init=InitRule(IID, Gaussian(0.0, 1.0)))
     statistic = partial(psi_grid_free, exact_cdf=partial(BurgersSolution(SIGMA).cdf, 1.0))
     assert 0.75 * harness._BYTES_PER_PARTICLE < traced_peak(

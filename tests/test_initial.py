@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -52,6 +54,21 @@ def test_iid_deterministic_given_seed():
     a = iid_positions(Uniform(0.0, 1.0), 5, make_generator(77))
     b = iid_positions(Uniform(0.0, 1.0), 5, make_generator(77))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("law", [Uniform(-1.0, 3.0), Gaussian(0.5, 2.0)],
+                         ids=["uniform", "gaussian"])
+def test_iid_start_holds_the_uniforms_and_one_more_array(law):
+    # the quantile is formed in place in one array beside the uniforms; at
+    # this size numpy does not reuse an expression's temporaries for it
+    n = 20_000
+    tracemalloc.start()
+    try:
+        iid_positions(law, n, make_generator(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * 8 + 4096
 
 
 def test_iid_quantile_table_hits_atoms():
