@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -68,18 +67,6 @@ _PRESETS = {
 }
 
 
-def _threads(args) -> int:
-    """Worker count from --threads, else RANKFLOW_THREADS, else 1."""
-    raw = args.threads if args.threads is not None else os.environ.get("RANKFLOW_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"RANKFLOW_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise ConfigError(f"thread count must be >= 1, got {raw!r}")
-    return threads
-
-
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--horizon", type=float, default=1.0, help="time horizon T")
     parser.add_argument("--sigma2", type=float, default=0.2,
@@ -104,9 +91,9 @@ def _add_study_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--runs", type=int, help="number of Monte-Carlo runs R")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker processes, at most one per core and per run "
-                             "(default: RANKFLOW_THREADS or 1)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker processes of the study's one pool, at most one per "
+                             "core and per run of a row (default: 1, no pool)")
     parser.add_argument("--full", action="store_true",
                         help="use the full-scale presets instead of the desk-scale ones")
     parser.add_argument("--paired-seeds", action="store_true",
@@ -289,9 +276,10 @@ def _cmd_study(kind: str, args) -> int:
     spec = harness.StudySpec(kind, _config(args, particles, step), sweep,
                              preset["values"] if values is None else values, runs,
                              paired_seeds=args.paired_seeds, **weak)
-    threads = _threads(args)
+    if args.threads < 1:
+        raise ConfigError(f"thread count must be >= 1, got {args.threads}")
     with _output(args.out) as write:
-        write(_table_lines(harness.run_study(spec, threads=threads), args.format))
+        write(_table_lines(harness.run_study(spec, threads=args.threads), args.format))
     return 0
 
 

@@ -13,17 +13,17 @@ measure against the exact Burgers solution:
 
 A ``StudySpec`` builds and checks every row's run config, the reference
 and the weak grid before any run, and checks that the study's arrays fit
-in physical memory (``check_memory``) before it builds the grid;
-``run_study`` runs row j of it with
-``strong_error_point(spec, j)`` or ``weak_error_point(spec, j)``.  Runs are
-independent: run r of sweep row j uses the seed derived from (base_seed,
-j, r), so tables are reproducible bit for bit; with paired seeds the row
-index is dropped and all rows share their Brownian noise.  One worker,
-``_run``, simulates a run and applies the row's statistic to its final
-positions, unsorted.  Runs may execute in a pool of at most one process
-per run and per core, with a few runs per process in flight, but
-reduction always happens in run index order, which keeps results
-identical for every worker count.  The harness writes nothing:
+in physical memory (``check_memory``) before it builds the grid.
+``run_study`` reduces each row's slice of the study's one stream of runs
+with ``strong_error_point(spec, results)`` or ``weak_error_point(spec,
+results)``.  Runs are independent: run r of sweep row j uses the seed
+derived from (base_seed, j, r), so tables are reproducible bit for bit;
+with paired seeds the row index is dropped and all rows share their
+Brownian noise.  One worker, ``_run``, simulates a run and applies the
+study's statistic to its final positions, unsorted.  Runs may execute in
+one pool per study, of at most one process per core and per run of a
+row, but reduction always happens in (row, run index) order, which keeps
+results identical for every worker count.  The harness writes nothing:
 ``rankflow.cli`` formats and writes every table.
 """
 
@@ -33,13 +33,14 @@ import os
 import signal
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .engine import SimulationConfig, simulate
+from .engine import _BLOCK, _DRAW_BLOCK, SimulationConfig, simulate
 from .errors import ConfigError, NumericalError, UnsupportedReferenceError
 from .exact import BurgersSolution
 from .metrics import GridSpec, empirical_cdf_at, phi_grid, psi_grid_free
@@ -51,12 +52,19 @@ WEAK = "weak"
 SWEEP_N = "n"
 SWEEP_H = "h"
 
-#: peak bytes per particle of one run, the step kernel and the strong
+#: peak bytes per particle of one large run, the step kernel and the strong
 #: estimator together: 17.4 under tracemalloc at N=70000 and 16.2 at
 #: N=500000, two arrays of float64 (the positions, and the sort words or
-#: the increments; the estimator's sample and its sorted copy) and a few
-#: fixed-size blocks, rounded up
+#: the increments; the estimator's sample and its sorted copy), rounded up
 _BYTES_PER_PARTICLE = 18
+
+#: bytes of one run's fixed-size buffers: one draw of increments
+#: (``_DRAW_BLOCK`` values), the cached drift table and its product with
+#: the step, both held up to ``_DRAW_BLOCK // 2`` particles, and one block
+#: of sort keys or drift coefficients.  Under tracemalloc, the table not
+#: yet cached, they lift a run of N=20000 to 60.3 bytes a particle and one
+#: of N=2**15 to 50.6
+_BYTES_PER_RUN = 8 * (2 * _DRAW_BLOCK + _BLOCK)
 
 #: peak bytes per cell of the exact-quantile bisection of a weak grid: 67
 #: under tracemalloc at K=5000 and at K=10**6, rounded up
@@ -82,12 +90,13 @@ def check_memory(*, particles: int = 0, workers: int = 1, cells: int = 0,
     """ConfigError when a command's arrays would not fit in physical memory.
 
     Called once per command, before anything is allocated.  The need is
-    ``workers`` runs of ``particles`` each, the bisection of ``cells``
-    exact quantiles, ``batches`` running sums of ``cells`` values and the
-    ``results`` a strong row keeps, one per run.  The limit is only read, never set.
+    ``workers`` runs of ``particles`` each, with their fixed-size buffers,
+    the bisection of ``cells`` exact quantiles, ``batches`` running sums of
+    ``cells`` values and the ``results`` a strong row keeps, one per run.
+    The limit is only read, never set.
     """
-    need = (workers * particles * _BYTES_PER_PARTICLE
-            + cells * (_BYTES_PER_CELL + 8 * batches) + 8 * results)
+    run = particles * _BYTES_PER_PARTICLE + _BYTES_PER_RUN if particles else 0
+    need = workers * run + cells * (_BYTES_PER_CELL + 8 * batches) + 8 * results
     limit = _physical_memory()
     if limit is not None and need > limit:
         raise ConfigError(f"this command needs about {-(-need >> 20):,} MiB of memory, "
@@ -189,10 +198,10 @@ class StudyRow:
 def _run(config: SimulationConfig, statistic, run_index: int):
     """``statistic`` of the final positions of run ``run_index`` of a row.
 
-    The row binds the config and the statistic with functools.partial, and
-    a pool takes one run at a time, so it pickles them with every run: the
-    statistic of a weak row carries its K midpoint quantiles, 40 KB at
-    K=5000.
+    Each row binds its config and the study's statistic with
+    functools.partial, and a pool takes one run at a time, so it pickles
+    them with every run: the statistic of a weak study carries its K
+    midpoint quantiles, 40 KB at K=5000.
     """
     cfg = replace(config, seed=derive_seed(config.seed, run_index))
     return statistic(simulate(cfg).positions)
@@ -211,28 +220,36 @@ def _interruptible(run, run_index: int):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _map_runs(run, n_runs: int, threads: int) -> Iterator:
-    """Stream run(0), ..., run(n_runs-1) in run-index order.
+def _map_runs(spec: StudySpec, threads: int) -> Iterator:
+    """Stream every run's statistic in (row, run index) order: the grid-free
+    estimate in a strong study, the CDF at the midpoint quantiles in a weak one.
 
-    With more than one thread a process pool decides where runs execute.
-    The pool has at most one worker per run and per core the process may
-    use, and none when that is one.  At most ``_IN_FLIGHT_PER_WORKER``
-    runs per worker are submitted and not yet yielded: the next run is
-    submitted when the oldest one has yielded.  When the caller stops
-    early (Ctrl-C, or a failed run), the runs not yet started are
-    cancelled.
+    With more than one thread one process pool for the whole study decides
+    where runs execute.  It has at most one worker per run of a row and
+    per core the process may use, and none when that is one.  At most
+    ``_IN_FLIGHT_PER_WORKER`` runs per worker, of one row or two, are
+    submitted and not yet yielded: the next run is submitted when the
+    oldest one has yielded.  When the caller stops early (Ctrl-C, or a
+    failed run or row), the runs not yet started are cancelled.
     """
-    workers = min(threads, n_runs, _cores())
+    if spec.kind == STRONG:
+        statistic = partial(psi_grid_free,
+                            exact_cdf=partial(spec.reference.cdf, spec.base.horizon))
+    else:
+        statistic = partial(empirical_cdf_at, x=spec.grid.midpoint_quantiles)
+    rows = [partial(_run, config, statistic) for config in spec.configs]
+    tasks = ((run, r) for run in rows for r in range(spec.runs))
+    workers = min(threads, spec.runs, _cores())
     if workers <= 1:
-        yield from map(run, range(n_runs))
+        yield from (run(r) for run, r in tasks)
         return
     window = _IN_FLIGHT_PER_WORKER * workers
     with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
                              initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
         in_flight = deque()
         try:
-            for r in range(n_runs):
-                in_flight.append(pool.submit(_interruptible, run, r))
+            for task in tasks:
+                in_flight.append(pool.submit(_interruptible, *task))
                 if len(in_flight) == window:
                     yield in_flight.popleft().result()
             while in_flight:
@@ -260,27 +277,25 @@ def _kahan_add(total: np.ndarray, compensation: np.ndarray, term: np.ndarray) ->
     total[:] = t
 
 
-def strong_error_point(spec: StudySpec, j: int, *, threads: int = 1) -> tuple[float, float]:
-    """Row j of a strong spec: mean grid-free W1 estimate, with 95% half-width.
+def strong_error_point(spec: StudySpec, results: Iterator) -> tuple[float, float]:
+    """A strong row from the next ``spec.runs`` results: the mean grid-free
+    W1 estimate, with 95% half-width.
 
-    Each run simulates the row's config with its derived seed and evaluates
-    the grid-free estimator of its final positions against the exact CDF at
-    the horizon.  The half-width is 1.96 * sqrt(sample variance / runs)
-    with the unbiased variance.
+    Each result is the grid-free estimator of one run's final positions
+    against the exact CDF at the horizon.  The half-width is
+    1.96 * sqrt(sample variance / runs) with the unbiased variance.
     """
-    runs, config = spec.runs, spec.configs[j]
-    statistic = partial(psi_grid_free, exact_cdf=partial(spec.reference.cdf, config.horizon))
-    results = _map_runs(partial(_run, config, statistic), runs, threads)
-    values = np.fromiter(results, dtype=float, count=runs)
+    values = np.fromiter(results, dtype=float, count=spec.runs)
     with np.errstate(over="ignore"):
         estimation = np.mean(values)
     return _with_half_width(estimation, values)
 
 
-def weak_error_point(spec: StudySpec, j: int, *, threads: int = 1) -> tuple[float, float]:
-    """Row j of a weak spec: grid-based W1 estimate of the mean CDF vector.
+def weak_error_point(spec: StudySpec, results: Iterator) -> tuple[float, float]:
+    """A weak row from the next ``spec.runs`` results: grid-based W1
+    estimate of the mean CDF vector.
 
-    Per run, the empirical CDF of the final ensemble is evaluated at the K
+    Each result is the empirical CDF of one run's final ensemble at the K
     midpoint quantiles.  The estimate applies the grid estimator to the
     across-all-runs mean vector (compensated summation; R can reach 2e4);
     the half-width is 1.96 * sqrt(s_B^2 / B) where s_B^2 is the unbiased
@@ -295,9 +310,8 @@ def weak_error_point(spec: StudySpec, j: int, *, threads: int = 1) -> tuple[floa
     batch_sums = np.zeros((batches, k))
     total = np.zeros(k)
     compensation = np.zeros(k)
-    statistic = partial(empirical_cdf_at, x=grid.midpoint_quantiles)
-    results = _map_runs(partial(_run, spec.configs[j], statistic), runs, threads)
-    for r, vector in enumerate(results):
+    # range first: zip stops without taking the next row's first result
+    for r, vector in zip(range(runs), results):
         batch_sums[r // per_batch] += vector
         _kahan_add(total, compensation, vector)
 
@@ -309,14 +323,16 @@ def weak_error_point(spec: StudySpec, j: int, *, threads: int = 1) -> tuple[floa
 def run_study(spec: StudySpec, *, threads: int = 1) -> tuple[StudyRow, ...]:
     """One table row per config the spec built, in sweep order; the ratio is
     the previous estimate over the row's own, none on the first row and on
-    a row whose estimate is 0."""
+    a row whose estimate is 0.  Row j reduces the j-th slice of
+    ``spec.runs`` results of the study's one stream of runs."""
     point = strong_error_point if spec.kind == STRONG else weak_error_point
     rows = []
-    for j, value in enumerate(spec.values):
-        try:
-            estimation, precision = point(spec, j, threads=threads)
-        except NumericalError as err:
-            raise NumericalError(f"sweep value {value}: {err}") from err
-        ratio = rows[-1].estimation / estimation if rows and estimation else None
-        rows.append(StudyRow(float(value), estimation, precision, ratio))
+    with closing(_map_runs(spec, threads)) as results:
+        for value in spec.values:
+            try:
+                estimation, precision = point(spec, results)
+            except NumericalError as err:
+                raise NumericalError(f"sweep value {value}: {err}") from err
+            ratio = rows[-1].estimation / estimation if rows and estimation else None
+            rows.append(StudyRow(float(value), estimation, precision, ratio))
     return tuple(rows)

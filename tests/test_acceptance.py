@@ -14,8 +14,7 @@ from oracles import (HeatKernel, QuantileTable, flux_value, init_w1_to_m, pde_re
                      rank_coefficients, support, w1_cdf_form, w_rho_empirical)
 from rankflow import (BurgersSolution, FluxFunction,
                       SimulationConfig, StudySpec,
-                      optimal_positions, run_study, simulate,
-                      strong_error_point)
+                      optimal_positions, run_study, simulate)
 from rankflow.initial import Uniform
 
 SIGMA2 = 0.2
@@ -91,7 +90,8 @@ def test_criterion_1_strong_error_vs_n(strong_n_table):
 def test_strong_error_reference_row_n16000():
     # one row with paired seeds runs the base config's own seed
     spec = StudySpec("strong", base_config(), "n", (16_000,), runs=100, paired_seeds=True)
-    est, prec = strong_error_point(spec, 0, threads=2)
+    (row,) = run_study(spec, threads=2)
+    est, prec = row.estimation, row.precision
     ref_est, ref_prec = STRONG_N_REFERENCE[16000]
     ok = abs(est - ref_est) <= 3.0 * ref_prec
     report("1b strong N=16000 row", ok,

@@ -9,7 +9,6 @@ import sys
 import tempfile
 import time
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -225,9 +224,9 @@ def test_weak_custom_runs_get_default_batches(tmp_path, monkeypatch):
     batches = []
     point = cli.harness.weak_error_point
 
-    def counted(spec, j, *, threads):
+    def counted(spec, results):
         batches.append(spec.batches)
-        return point(spec, j, threads=threads)
+        return point(spec, results)
 
     monkeypatch.setattr(cli.harness, "weak_error_point", counted)
     out = tmp_path / "w.csv"
@@ -250,15 +249,6 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as info:
         run_cli(["strong", "--nope"])
     assert info.value.code == 2
-
-
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("RANKFLOW_THREADS", "2")
-    out = tmp_path / "env.csv"
-    assert run_cli(["strong", "--sweep", "n:4", "--runs", "3", "--step", "0.5",
-                    "--seed", "2", "--out", str(out)]) == 0
-    monkeypatch.setenv("RANKFLOW_THREADS", "junk")
-    assert run_cli(["strong", "--sweep", "n:4", "--runs", "3", "--step", "0.5"]) == 2
 
 
 #: a tiny run of each command that writes a file, and the flag naming the file
@@ -362,11 +352,9 @@ def test_simulate_unwritable_positions_path():
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
-def test_bad_thread_count_is_config_error(monkeypatch, threads):
+def test_bad_thread_count_is_config_error(threads):
     args = ["strong", "--sweep", "n:4", "--runs", "3", "--step", "0.5"]
     assert run_cli(args + ["--threads", threads]) == 2
-    monkeypatch.setenv("RANKFLOW_THREADS", threads)
-    assert run_cli(args) == 2
 
 
 def run_cli_process(args):
@@ -632,10 +620,8 @@ def argvs(draw):
 def test_any_argv_exits_cleanly(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as scratch, \
-            mock.patch.dict(os.environ) as environ, \
             warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        environ.pop("RANKFLOW_THREADS", None)
         warnings.simplefilter("always")
         target = os.path.join(scratch, "out")
         with open(target, "w") as handle:

@@ -14,7 +14,7 @@ from rankflow import (BurgersSolution, ConfigError, FluxFunction, Gaussian, Grid
                       weak_error_point)
 from rankflow import engine
 from rankflow.engine import IID
-from rankflow.metrics import psi_grid_free
+from rankflow.metrics import phi_grid, psi_grid_free
 from rankflow.stream import derive_seed, make_generator, standard_normals
 
 BURGERS = FluxFunction.burgers()
@@ -38,6 +38,12 @@ def one_row(kind, config, runs, **kw):
     return StudySpec(kind, config, "n", (config.n_particles,), runs, paired_seeds=True, **kw)
 
 
+def one_row_point(kind, config, runs, **kw):
+    """The estimate and half-width of the one row of ``one_row(kind, config, runs)``."""
+    (row,) = run_study(one_row(kind, config, runs, **kw))
+    return row.estimation, row.precision
+
+
 # -- strong error point --------------------------------------------------------
 
 def test_strong_point_sigma_zero_degenerate(monkeypatch):
@@ -46,7 +52,7 @@ def test_strong_point_sigma_zero_degenerate(monkeypatch):
     reference = _GaussianReference(1.0, speed=0.25)
     monkeypatch.setattr(harness, "get_reference", lambda config: reference)
     cfg = burgers_config(sigma=0.0)
-    est, prec = strong_error_point(one_row("strong", cfg, 5), 0)
+    est, prec = one_row_point("strong", cfg, 5)
     assert prec == 0.0
     single = psi_grid_free(harness.simulate(cfg).positions, lambda x: reference.cdf(1.0, x))
     assert est == pytest.approx(single, abs=1e-15)
@@ -67,7 +73,7 @@ def test_strong_point_reproducible_by_hand():
                     * (abs(sol.cdf(1.0, x[1]) - 0.5) + abs(sol.cdf(1.0, x[0]) - 0.5)))
     mean = (psis[0] + psis[1]) / 2.0
     spread = 1.96 * np.sqrt(((psis[0] - mean) ** 2 + (psis[1] - mean) ** 2) / 1.0 / 2.0)
-    est, prec = strong_error_point(one_row("strong", cfg, 2), 0)
+    est, prec = one_row_point("strong", cfg, 2)
     assert est == pytest.approx(mean, abs=1e-14)
     assert prec == pytest.approx(spread, abs=1e-14)
 
@@ -77,7 +83,7 @@ def test_strong_point_reproducible_by_hand():
 def test_weak_point_identical_batches_zero_precision(monkeypatch):
     monkeypatch.setattr(harness, "get_reference", lambda config: _GaussianReference(1.0))
     cfg = burgers_config(sigma=0.0)
-    est, prec = weak_error_point(one_row("weak", cfg, 4, batches=2, grid_k=50), 0)
+    est, prec = one_row_point("weak", cfg, 4, batches=2, grid_k=50)
     assert prec == 0.0
     assert est >= 0.0
 
@@ -85,9 +91,37 @@ def test_weak_point_identical_batches_zero_precision(monkeypatch):
 def test_weak_never_far_above_strong():
     # the mean profile is at least as close as the average distance
     cfg = burgers_config(n_particles=100, step=0.05)
-    strong_est, strong_prec = strong_error_point(one_row("strong", cfg, 40), 0)
-    weak_est, weak_prec = weak_error_point(one_row("weak", cfg, 40, batches=4, grid_k=500), 0)
+    strong_est, strong_prec = one_row_point("strong", cfg, 40)
+    weak_est, weak_prec = one_row_point("weak", cfg, 40, batches=4, grid_k=500)
     assert weak_est <= strong_est + strong_prec + weak_prec
+
+
+# -- row reductions of a stream of results --------------------------------------
+
+def test_strong_row_reduces_its_runs_and_leaves_the_next_row():
+    # four runs' estimates, then the next row's first result
+    spec = StudySpec("strong", burgers_config(), "n", (4, 8), 4)
+    results = iter([0.1, 0.2, 0.4, 0.7, "next row"])
+    est, prec = strong_error_point(spec, results)
+    mean = (0.1 + 0.2 + 0.4 + 0.7) / 4
+    variance = sum((v - mean) ** 2 for v in (0.1, 0.2, 0.4, 0.7)) / 3
+    assert est == pytest.approx(mean, abs=1e-15)
+    assert prec == pytest.approx(1.96 * np.sqrt(variance / 4), abs=1e-15)
+    assert next(results) == "next row"
+
+
+def test_weak_row_reduces_its_runs_and_leaves_the_next_row():
+    # four runs' CDF vectors in two batches of two, then the next row's first
+    spec = StudySpec("weak", burgers_config(), "n", (4, 8), 4, batches=2, grid_k=8)
+    vectors = [np.sort(make_generator(seed).random(8)) for seed in range(4)]
+    results = iter(vectors + ["next row"])
+    est, prec = weak_error_point(spec, results)
+    first = phi_grid((vectors[0] + vectors[1]) / 2, spec.grid)
+    second = phi_grid((vectors[2] + vectors[3]) / 2, spec.grid)
+    assert est == pytest.approx(phi_grid(sum(vectors) / 4, spec.grid), abs=1e-15)
+    # two batch values: 1.96 * sqrt(((a - b)**2 / 2) / 2) = 0.98 * |a - b|
+    assert prec == pytest.approx(0.98 * abs(first - second), abs=1e-15)
+    assert next(results) == "next row"
 
 
 # -- study driver ----------------------------------------------------------------
@@ -213,11 +247,19 @@ def test_pool_has_no_more_workers_than_cores(fake_pool, monkeypatch, cores, pool
 
 
 def test_runs_in_flight_never_exceed_the_window(fake_pool, monkeypatch):
-    # a row of 10**5 runs on two workers: the pool holds eight at a time,
-    # and the results still come in run-index order
+    # three rows of 10**5 runs on two workers: one pool for the study holds
+    # eight runs at a time, across row boundaries, and the results still
+    # come in (row, run index) order
     pin_cores(monkeypatch, {0, 1})
+    monkeypatch.setattr(harness, "_run", lambda config, statistic, r: (config.n_particles, r))
     runs = 10**5
-    assert list(harness._map_runs(lambda r: r, runs, threads=2)) == list(range(runs))
+    spec = StudySpec("strong", burgers_config(), "n", (4, 8, 16), runs)
+    streamed = []
+    for result in harness._map_runs(spec, threads=2):
+        streamed.append(result)
+        if result == (4, runs - 1):  # the first row's last run: seven of the next queued
+            assert fake_pool.in_flight == 7
+    assert streamed == [(n, r) for n in (4, 8, 16) for r in range(runs)]
     assert fake_pool == [2]
     assert fake_pool.most_in_flight == 2 * harness._IN_FLIGHT_PER_WORKER == 8
     assert fake_pool.in_flight == 0
@@ -264,13 +306,22 @@ def traced_peak(work) -> int:
 
 
 def test_memory_model_bounds_the_measured_peaks():
-    # the bytes per particle bound one strong run (step kernel and estimator),
-    # the bytes per cell one weak grid's exact-quantile bisection
-    n, k = 70_000, 20_000
-    config = burgers_config(n_particles=n, init=InitRule(IID, Gaussian(0.0, 1.0)))
+    # the bytes per particle and the fixed bytes of a run bound one strong
+    # run (step kernel and estimator) with its drift table not yet cached;
+    # the bytes per cell bound one weak grid's exact-quantile bisection
     statistic = partial(psi_grid_free, exact_cdf=partial(BurgersSolution(SIGMA).cdf, 1.0))
-    assert 0.75 * harness._BYTES_PER_PARTICLE < traced_peak(
-        lambda: harness._run(config, statistic, 0)) / n <= harness._BYTES_PER_PARTICLE
+    peaks = {}
+    for n in (20_000, 2**15, 33_000, 70_000):
+        config = burgers_config(n_particles=n, init=InitRule(IID, Gaussian(0.0, 1.0)))
+        harness._run(config, statistic, 0)  # warm-up
+        engine._drift_table.cache_clear()
+        peaks[n] = traced_peak(lambda: harness._run(config, statistic, 0))
+        assert peaks[n] <= n * harness._BYTES_PER_PARTICLE + harness._BYTES_PER_RUN, n
+    # N=2**15 is the largest run that holds the drift table: the fixed
+    # bytes are most of its need; from N=70000 on the particles are
+    assert 0.75 * (2**15 * harness._BYTES_PER_PARTICLE + harness._BYTES_PER_RUN) < peaks[2**15]
+    assert 0.75 * harness._BYTES_PER_PARTICLE < peaks[70_000] / 70_000
+    k = 20_000
     assert 0.75 * harness._BYTES_PER_CELL < traced_peak(
         lambda: small_grid(k)) / k <= harness._BYTES_PER_CELL
 
@@ -286,10 +337,10 @@ def test_study_spec_checks_memory_before_the_grid(monkeypatch, cores, workers):
         raise AssertionError("the weak grid is built")
 
     monkeypatch.setattr(GridSpec, "from_quantile", build_grid)
-    need = (workers * 1000 * harness._BYTES_PER_PARTICLE
+    need = (workers * (1000 * harness._BYTES_PER_PARTICLE + harness._BYTES_PER_RUN)
             + 300 * (harness._BYTES_PER_CELL + 8 * 2))
     monkeypatch.setattr(harness, "_physical_memory", lambda: need - 1)
-    with pytest.raises(ConfigError, match="MiB of memory, more than the 0 MiB of physical"):
+    with pytest.raises(ConfigError, match=r"MiB of memory, more than the \d MiB of physical"):
         StudySpec("weak", burgers_config(), "n", (4, 1000), 4, batches=2, grid_k=300)
     monkeypatch.setattr(harness, "_physical_memory", lambda: need)
     with pytest.raises(AssertionError, match="the weak grid is built"):  # past the check
@@ -299,7 +350,7 @@ def test_study_spec_checks_memory_before_the_grid(monkeypatch, cores, workers):
 def test_strong_spec_counts_its_runs(monkeypatch):
     # a strong row keeps one 8-byte value per run on top of its workers' runs
     pin_cores(monkeypatch, {0})
-    need = 1000 * harness._BYTES_PER_PARTICLE + 8 * 10**6
+    need = 1000 * harness._BYTES_PER_PARTICLE + harness._BYTES_PER_RUN + 8 * 10**6
     monkeypatch.setattr(harness, "_physical_memory", lambda: need - 1)
     with pytest.raises(ConfigError, match="MiB of memory, more than the"):
         StudySpec("strong", burgers_config(), "n", (4, 1000), 10**6)
@@ -355,7 +406,7 @@ def test_interval_covers_known_model(monkeypatch):
     def point(seed, runs):
         cfg = SimulationConfig(n_particles=16, step=1.0, horizon=1.0, sigma=1.0,
                                flux=flux, seed=seed)
-        return strong_error_point(one_row("strong", cfg, runs), 0)
+        return one_row_point("strong", cfg, runs)
 
     truth, _ = point(1000, 30000)
     covered = 0
@@ -382,7 +433,7 @@ def test_weak_interval_covers_known_model(monkeypatch):
     def point(seed, runs):
         cfg = SimulationConfig(n_particles=100, step=1.0, horizon=1.0, sigma=1.0,
                                flux=FluxFunction.polynomial((0.0, 1.0)), seed=seed)
-        return weak_error_point(one_row("weak", cfg, runs, batches=10, grid_k=50), 0)
+        return one_row_point("weak", cfg, runs, batches=10, grid_k=50)
 
     truth, _ = point(1000, 20000)
     covered = 0

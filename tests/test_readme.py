@@ -76,7 +76,8 @@ def test_package_all_resolves():
 
 def test_readme_memory_figures_are_the_harness_constants():
     # the memory check's need, as README states it
-    assert re.findall(r"\((\d+) bytes a particle\)", README) == [str(harness._BYTES_PER_PARTICLE)]
+    assert re.findall(r"\((\d+) bytes a particle, plus (\d+) bytes\s", README) == [
+        (str(harness._BYTES_PER_PARTICLE), str(harness._BYTES_PER_RUN))]
     assert re.findall(r"\((\d+) bytes a cell\)", README) == [str(harness._BYTES_PER_CELL)]
     # the block sizes of the grid-free estimator and of the increment draws
     blocks = [2 ** int(e) for e in re.findall(r"`2\*\*(\d+)` values", README)]
