@@ -22,15 +22,13 @@ Positions leave the engine in original index order: the per-step ranking
 is its only sort, and :mod:`rankflow.metrics` sorts a final sample.  A
 step adds each rank's drift to the particle at that place of the sort
 order, so the ranks are never stored.  A run holds its positions in one
-array, updated in place by every step: a yielded array is overwritten by
-the next step.
+array, updated in place by every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -58,13 +56,6 @@ _BLOCK = 2**13
 
 #: most increments drawn at once: a block holds whole steps of n values
 _DRAW_BLOCK = 2**16
-
-#: below this many particles the stable sort alone ranks faster than the
-#: SIMD sort plus its tie check.  The break-even lies between N=125 and
-#: N=150 on the positions of successive simulation steps; timing one array
-#: sorted over and over puts it near N=700 instead, because the branch
-#: predictor learns the stable sort's branches for a repeated input.
-_STABLE_BELOW = 128
 
 #: from this many particles on the order comes from one sort of packed
 #: key|index words.  On the positions of successive simulation steps it
@@ -220,23 +211,19 @@ def zero_based_ranks(positions: np.ndarray) -> np.ndarray | slice:
     intp array of n values, or the slice ``slice(None)`` when it is the
     identity.
 
-    Below ``_STABLE_BELOW`` values the order comes from the stable sort.
-    From ``_PACKED_FROM`` on it comes from one value sort of packed
-    key|index words (:func:`_packed_order`), which is exact, or is the
-    identity slice when every value ties (the Dirac step); its words are
-    the one array of n values a call allocates.  In between, and when the
-    packed words cannot be formed, the order comes from numpy's default
-    (SIMD, unstable) sort, which is faster there.  Without ties every
-    correct sort yields the same permutation; only when the sorted values
-    are not strictly increasing (an exact tie, which includes ``-0.0``
-    against ``+0.0``, or a NaN) is the order redone with the stable sort,
-    so the ranks are those of the stable sort in every case.
+    From ``_PACKED_FROM`` values on the order comes from one value sort of
+    packed key|index words (:func:`_packed_order`), which is exact, or is
+    the identity slice when every value ties (the Dirac step); its words
+    are the one array of n values a call allocates.  Below it, and when
+    the packed words cannot be formed, the order comes from numpy's
+    default (SIMD, unstable) sort.  Without ties every correct sort
+    gives the same permutation; only when the sorted values are not
+    strictly increasing (an exact tie, which includes ``-0.0`` against
+    ``+0.0``, or a NaN) is the order redone with the stable sort, so the
+    ranks are those of the stable sort in every case.
     """
     x = np.asarray(positions, dtype=float)
-    n = x.size
-    if n < _STABLE_BELOW:
-        return x.argsort(kind="stable")
-    if n >= _PACKED_FROM and (order := _packed_order(x)) is not None:
+    if x.size >= _PACKED_FROM and (order := _packed_order(x)) is not None:
         return order
     order = x.argsort()
     if not _strictly_increasing(x[order]):
@@ -297,13 +284,13 @@ def _add_drift(x: np.ndarray, order: np.ndarray | slice, flux: FluxFunction, sch
 
 
 def _advance(x: np.ndarray, flux: FluxFunction, scheme: str, sigma: float, h: float,
-             n_full: int, last: float, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """The Euler step kernel: yields the positions after every step.
+             n_full: int, last: float, rng: np.random.Generator) -> np.ndarray:
+    """The Euler step kernel: takes every step and returns the final positions.
 
     Takes ``n_full`` steps of length ``h``, then one of length ``last`` when
     ``last > 0``.  It steps its own copy of ``x`` and never writes the
-    caller's array.  The positions live in that one buffer and each step
-    updates it in place, so a yielded array is overwritten by the next step.
+    caller's array.  The positions live in that one buffer, which each
+    step updates in place.
 
     A step ranks first (:func:`zero_based_ranks`), then adds the drift
     coefficient of rank q times the step length to particle ``order[q]``
@@ -345,19 +332,18 @@ def _advance(x: np.ndarray, flux: FluxFunction, scheme: str, sigma: float, h: fl
                 noise[:full] *= sigma * np.sqrt(h)
                 noise[full:] *= sigma * np.sqrt(last)  # the partial last step, if any
             x += noise[k - first]
-            yield x
+    return x
 
 
-def simulate(config: SimulationConfig,
-             snapshot: Optional[Callable[[float, np.ndarray], None]] = None) -> ParticleEnsemble:
+def simulate(config: SimulationConfig) -> ParticleEnsemble:
     """Run the particle system to the horizon; fully determined by the config.
 
     Takes floor(horizon/step) full steps plus one shorter final step when the
-    horizon is not a multiple of the step.  Initial positions come from the
-    init rule; particle i's increment at step k consumes position k*n + i of
-    the run's increment stream (see :mod:`rankflow.stream` for the seed
-    layout).  When given, ``snapshot(time, positions)`` gets a copy of the
-    positions at time 0 and after every step; no trajectory is stored.
+    horizon is not a multiple of the step, in one call of the step kernel
+    (:func:`_advance`).  Initial positions come from the init rule; particle
+    i's increment at step k consumes position k*n + i of the run's increment
+    stream (see :mod:`rankflow.stream` for the seed layout).  No name holds
+    the initial positions while the kernel steps its copy of them.
 
     Returns the final ensemble at the horizon.  Overflow does not warn; a
     non-finite final position raises NumericalError.
@@ -366,22 +352,14 @@ def simulate(config: SimulationConfig,
     init_rng = make_generator(derive_seed(config.seed, 0))
     steps_rng = make_generator(derive_seed(config.seed, 1))
 
-    start = config.init.positions(n, init_rng)
-    if snapshot is not None:
-        snapshot(0.0, start.copy())
-
     n_full = int(np.floor(horizon / h + _STEP_SLACK))
     remainder = horizon - n_full * h
     if remainder < _STEP_SLACK * h:
         remainder = 0.0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = _advance(start, config.flux, config.scheme, config.sigma, h, n_full,
-                         remainder, steps_rng)
-        del start  # the kernel's copy is the one array of positions while it steps
-        for k, x in enumerate(steps, 1):
-            if snapshot is not None:
-                snapshot(k * h if k <= n_full else horizon, x.copy())
+        x = _advance(config.init.positions(n, init_rng), config.flux, config.scheme,
+                     config.sigma, h, n_full, remainder, steps_rng)
     if not np.isfinite(x).all():
         raise NumericalError("positions overflowed: not every final position is finite")
     return ParticleEnsemble(x)

@@ -9,7 +9,9 @@ bounds of a flux, the Gaussian heat kernel with its analytic identities,
 the uniform lattice built from ``Generator.random``, the central branch
 of Cephes' inverse normal CDF, and the drift table, the exact CDF
 and the grid-free estimate computed over whole arrays, which the
-package's block-by-block versions must equal bit for bit.
+package's block-by-block versions must equal bit for bit.  A run's
+trajectory, which no table needs, is chained here from one-step calls
+of the step kernel.
 """
 
 from __future__ import annotations
@@ -21,10 +23,13 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.special import erfc, expit, log_ndtr, ndtri
 
+from rankflow import engine
+from rankflow.engine import SimulationConfig
 from rankflow.errors import ConfigError, DomainError
 from rankflow.exact import BurgersSolution
 from rankflow.flux import FluxFunction
 from rankflow.initial import DiracAtZero, Gaussian, InitialDistribution, Uniform
+from rankflow.stream import derive_seed, make_generator
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -86,6 +91,28 @@ def rank_counts(positions: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(positions, dtype=float)
     return np.searchsorted(np.sort(x), x, side="right")
+
+
+# -- trajectories ------------------------------------------------------------
+
+def trajectory(config: SimulationConfig) -> list[np.ndarray]:
+    """A run's positions at time 0 and after every step.
+
+    Each step is one call of the step kernel ``rankflow.engine._advance``
+    on the run's own increment generator.  A step consumes the next n
+    values of that stream, so the chain draws what ``simulate``'s one call
+    draws, and its last positions are the run's final positions bit for bit.
+    """
+    n, h = config.n_particles, config.step
+    n_full = int(np.floor(config.horizon / h + engine._STEP_SLACK))
+    last = config.horizon - n_full * h
+    steps = [h] * n_full + ([last] if last >= engine._STEP_SLACK * h else [])
+    path = [config.init.positions(n, make_generator(derive_seed(config.seed, 0)))]
+    rng = make_generator(derive_seed(config.seed, 1))
+    for dt in steps:
+        path.append(engine._advance(path[-1], config.flux, config.scheme, config.sigma, dt, 1,
+                                    0.0, rng))
+    return path
 
 
 # -- W1 between samples ------------------------------------------------------

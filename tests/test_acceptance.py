@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import (HeatKernel, QuantileTable, flux_value, init_w1_to_m, pde_residual,
-                     rank_coefficients, support, w1_cdf_form, w_rho_empirical)
+                     rank_coefficients, support, trajectory, w1_cdf_form, w_rho_empirical)
 from rankflow import (BurgersSolution, FluxFunction,
                       SimulationConfig, StudySpec,
                       optimal_positions, run_study, simulate)
@@ -198,8 +198,7 @@ def test_criterion_7_structural_properties():
             n_particles=int(rng.integers(2, 30)), step=0.125, horizon=1.0,
             sigma=float(rng.uniform(0.1, 2.0)), flux=BURGERS,
             seed=int(rng.integers(2**63)))
-        snaps = []
-        simulate(cfg, snapshot=lambda t, x: snaps.append(x))
+        snaps = trajectory(cfg)
         for _ in range(40):
             i, j = sorted(rng.choice(len(snaps), size=2, replace=False))
             for rho in (1.0, 2.0):

@@ -357,6 +357,16 @@ def test_bad_thread_count_is_config_error(threads):
     assert run_cli(args + ["--threads", threads]) == 2
 
 
+def test_bad_thread_count_builds_no_study(monkeypatch, capsys):
+    # building a weak study bisects its reference grid: a bad count exits first
+    built = []
+    monkeypatch.setattr(cli.harness, "StudySpec", lambda *args, **kw: built.append(args))
+    assert run_cli(["weak", "--sweep", "n:10", "--step", "0.5", "--runs", "4", "--batches",
+                    "2", "--grid", "1000000", "--threads", "0"]) == 2
+    assert capsys.readouterr().err == "rankflow: thread count must be >= 1, got 0\n"
+    assert built == []
+
+
 def run_cli_process(args):
     """The CLI in a fresh interpreter, with every warning shown on stderr."""
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="default")

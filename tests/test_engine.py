@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
 from oracles import (QuantileTable, drift_table_unblocked, lipschitz_speed, max_speed,
-                     rank_counts)
+                     rank_counts, trajectory)
 from rankflow import (BurgersSolution, ConfigError, FluxFunction, Gaussian, InitRule,
                       NumericalError, SimulationConfig, Uniform,
                       empirical_cdf_at, optimal_positions, psi_grid_free, simulate)
@@ -46,9 +46,8 @@ def ranks(x):
 
 
 def test_zero_based_ranks_distinct_match_counts():
-    # sizes on each side of the stable-sort and packed-word cut-overs
-    for n in (50, engine._STABLE_BELOW - 1, engine._STABLE_BELOW, 1000,
-              engine._PACKED_FROM, 2 * engine._PACKED_FROM):
+    # small sizes, and sizes on each side of the packed-word cut-over
+    for n in (50, 127, 128, 1000, engine._PACKED_FROM, 2 * engine._PACKED_FROM):
         x = make_generator(n).random(n)
         np.testing.assert_array_equal(ranks(x), rank_counts(x) - 1)
 
@@ -83,18 +82,17 @@ def stable_ranks(x):
     return ranks
 
 
-#: sample sizes on each side of the stable-sort and packed-word cut-overs
-BOTH_SIDES = st.one_of(st.integers(1, engine._STABLE_BELOW - 1),
-                       st.integers(engine._STABLE_BELOW, 4 * engine._STABLE_BELOW),
+#: small sample sizes, and sizes on each side of the packed-word cut-over
+BOTH_SIDES = st.one_of(st.integers(1, 127), st.integers(128, 512),
                        st.integers(engine._PACKED_FROM, 2 * engine._PACKED_FROM))
 
 
 @settings(deadline=None)
 @given(tie_heavy(BOTH_SIDES))
-@example(np.tile([1.0, -0.0, 0.0], engine._STABLE_BELOW))
+@example(np.tile([1.0, -0.0, 0.0], 128))
 def test_zero_based_ranks_equal_stable_argsort_ranks(x):
-    # from the cut-over on, the SIMD sort orders tied values arbitrarily:
-    # only the tie fallback gives the stable ranks
+    # the SIMD sort orders tied values arbitrarily: only the tie fallback
+    # gives the stable ranks
     np.testing.assert_array_equal(ranks(x), stable_ranks(x))
 
 
@@ -143,16 +141,15 @@ def test_all_equal_step_forms_no_words(monkeypatch):
     assert zero_based_ranks(np.zeros(2 * engine._PACKED_FROM)) == slice(None)
 
 
-#: cut-overs (_STABLE_BELOW, _PACKED_FROM) that send every size down one path
-RANKING_PATHS = {"stable": (2**62, 2**62), "simd": (0, 2**62), "packed": (0, 0)}
+#: cut-overs (_PACKED_FROM) that send every size down one path
+RANKING_PATHS = {"simd": 2**62, "packed": 0}
 
 
 def on_each_path(rank):
-    """``rank()`` once with every size sent down each of the three ranking paths."""
+    """``rank()`` once with every size sent down each of the two ranking paths."""
     results = {}
     with pytest.MonkeyPatch.context() as patch:
-        for path, (stable_below, packed_from) in RANKING_PATHS.items():
-            patch.setattr(engine, "_STABLE_BELOW", stable_below)
+        for path, packed_from in RANKING_PATHS.items():
             patch.setattr(engine, "_PACKED_FROM", packed_from)
             results[path] = rank()
     return results
@@ -160,7 +157,7 @@ def on_each_path(rank):
 
 def kernel_step(x):
     """One step of the step kernel from ``x``: h = 0.25, sigma = 0.4."""
-    return next(engine._advance(x, BURGERS, "rank", 0.4, 0.25, 1, 0.0, make_generator(2)))
+    return engine._advance(x, BURGERS, "rank", 0.4, 0.25, 1, 0.0, make_generator(2))
 
 
 def euler_step(x):
@@ -181,7 +178,7 @@ def assert_scatter_is_gather_through_ranks(x):
 
 @settings(deadline=None)
 @given(tie_heavy(BOTH_SIDES))
-@example(np.tile([1.0, -0.0, 0.0], engine._STABLE_BELOW))
+@example(np.tile([1.0, -0.0, 0.0], 128))
 def test_drift_scattered_through_the_order_equals_gather_through_ranks(x):
     assert_scatter_is_gather_through_ranks(x)
 
@@ -193,7 +190,7 @@ def test_drift_scatter_packed_edge_cases(x):
 
 @settings(deadline=None)
 @given(tie_heavy(st.integers(2, 300)), st.integers(0, 2**32 - 1))
-@example(np.tile([1.0, -0.0, 0.0], engine._STABLE_BELOW), 0)
+@example(np.tile([1.0, -0.0, 0.0], 128), 0)
 def test_estimates_are_bitwise_invariant_under_permutation(x, seed):
     # the estimators sort with the unstable default sort: the order it gives
     # -0.0 and +0.0 depends on the input order, but neither estimate does
@@ -274,8 +271,8 @@ def test_kernel_never_writes_its_input(n):
     # the kernel steps its own copy, never the caller's array
     start = make_generator(1).random(n)
     before = start.tobytes()
-    for x in engine._advance(start, BURGERS, "rank", 0.4, 0.25, 5, 0.1, make_generator(2)):
-        assert not np.shares_memory(x, start)
+    x = engine._advance(start, BURGERS, "rank", 0.4, 0.25, 5, 0.1, make_generator(2))
+    assert not np.shares_memory(x, start)
     assert start.tobytes() == before
 
 
@@ -285,10 +282,8 @@ def test_one_row_step_holds_two_particle_arrays_and_its_blocks():
     n = ONE_ROW
     tracemalloc.start()
     try:
-        steps = engine._advance(make_generator(1).random(n), BURGERS, "rank", 0.4, 0.25, 3,
-                                0.1, make_generator(2))
-        for _ in steps:
-            pass
+        engine._advance(make_generator(1).random(n), BURGERS, "rank", 0.4, 0.25, 3, 0.1,
+                        make_generator(2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -363,20 +358,20 @@ def test_simulate_sigma_zero_ignores_seed():
     assert np.array_equal(a, b)
 
 
-def test_simulate_partial_final_step_times():
-    times = []
-    cfg = config(n_particles=2, step=0.3, horizon=1.0)
-    simulate(cfg, snapshot=lambda t, x: times.append(t))
-    np.testing.assert_allclose(times, [0.0, 0.3, 0.6, 0.9, 1.0], atol=1e-12)
+def test_trajectory_steps_to_simulate():
+    # one-step kernel calls on the run's own stream end where simulate's one call does
+    for horizon, steps in ((1.0, 4), (1.2, 4)):  # 0.3 does not divide 1.0, it divides 1.2
+        cfg = config(n_particles=5, step=0.3, horizon=horizon)
+        path = trajectory(cfg)
+        assert len(path) == steps + 1
+        assert path[-1].tobytes() == simulate(cfg).positions.tobytes()
 
 
-@pytest.mark.parametrize("snapshot", [None, lambda t, x: None], ids=["bare", "snapshot"])
-def test_overflowing_run_raises_numerical_error(snapshot):
-    # the drift table overflows to inf and nan; a snapshot sees the positions
-    # without judging them, so it does not change the error
+def test_overflowing_run_raises_numerical_error():
+    # the drift table overflows to inf and nan
     cfg = config(flux=FluxFunction.polynomial((0.0, 1e308, 1e308)))
     with pytest.raises(NumericalError, match="positions overflowed"):
-        simulate(cfg, snapshot=snapshot)
+        simulate(cfg)
 
 
 def test_increment_stream_independent_of_init_rule():
@@ -388,9 +383,8 @@ def test_increment_stream_independent_of_init_rule():
     for rule in (OPTIMAL, IID):
         cfg = config(n_particles=6, sigma=0.4, flux=flux, seed=55,
                      init=InitRule(rule, law))
-        start = {}
-        final = simulate(cfg, snapshot=lambda t, x: start.setdefault(0, x))
-        out[rule] = final.positions - start[0]
+        path = trajectory(cfg)
+        out[rule] = path[-1] - path[0]
     # identical increments; only rounding against different offsets remains
     np.testing.assert_allclose(out[OPTIMAL], out[IID], atol=1e-12)
 
@@ -417,8 +411,7 @@ def test_reordering_never_exceeds_original_increments():
     checked = 0
     for _ in range(25):
         cfg = _random_config(rng)
-        snaps = []
-        simulate(cfg, snapshot=lambda t, x: snaps.append(x))
+        snaps = trajectory(cfg)
         for _ in range(45):
             i, j = sorted(rng.choice(len(snaps), size=2, replace=False))
             xs, xt = snaps[i], snaps[j]
@@ -438,8 +431,7 @@ def test_drift_displacement_bounded():
         cfg = _random_config(rng)
         cfg = SimulationConfig(**{**cfg.__dict__, "sigma": 0.0})
         bound = (max_speed(cfg.flux) + lipschitz_speed(cfg.flux) / cfg.n_particles)
-        snaps = []
-        simulate(cfg, snapshot=lambda t, x: snaps.append(x))
+        snaps = trajectory(cfg)
         for before, after in zip(snaps, snaps[1:]):
             assert np.max(np.abs(after - before)) <= bound * cfg.step * (1 + 1e-12)
 
