@@ -269,17 +269,15 @@ def _cmd_study(kind: str, args) -> int:
             batches = args.batches
         elif runs == preset["runs"]:
             batches = preset["batches"]
-        else:  # the least divisor of runs from min(100, max(2, runs // 10)) on
+        else:  # the least divisor of runs from min(100, max(2, runs // 10)) below 10**6
             least = min(100, max(2, runs // 10))
-            batches = next((b for b in range(least, runs) if runs % b == 0), runs)
+            batches = next((b for b in range(least, min(runs, 10**6)) if runs % b == 0), runs)
         weak = dict(batches=batches, grid_k=args.grid)
-    if args.threads < 1:
-        raise ConfigError(f"thread count must be >= 1, got {args.threads}")
     spec = harness.StudySpec(kind, _config(args, particles, step), sweep,
                              preset["values"] if values is None else values, runs,
-                             paired_seeds=args.paired_seeds, **weak)
+                             paired_seeds=args.paired_seeds, threads=args.threads, **weak)
     with _output(args.out) as write:
-        write(_table_lines(harness.run_study(spec, threads=args.threads), args.format))
+        write(_table_lines(harness.run_study(spec), args.format))
     return 0
 
 

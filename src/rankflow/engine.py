@@ -22,13 +22,12 @@ Positions leave the engine in original index order: the per-step ranking
 is its only sort, and :mod:`rankflow.metrics` sorts a final sample.  A
 step adds each rank's drift to the particle at that place of the sort
 order, so the ranks are never stored.  A run holds its positions in one
-array, updated in place by every step.
+array, updated in place by every step, and keeps nothing once it ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -250,15 +249,6 @@ def _drift(flux: FluxFunction, n: int, scheme: str, start: int, stop: int) -> np
     return n * np.diff(npoly.polyval(edges, flux.coefficients))
 
 
-@lru_cache(maxsize=64)
-def _drift_table(flux: FluxFunction, n: int, scheme: str) -> np.ndarray:
-    """The drift coefficient of every zero-based rank (:func:`_drift`),
-    cached per (flux, n, scheme) and read-only."""
-    table = _drift(flux, n, scheme, 0, n)
-    table.setflags(write=False)
-    return table
-
-
 def _add_through(x: np.ndarray, at: np.ndarray | slice, values: np.ndarray) -> None:
     """``x[at] += values`` for an index array ``at`` without repeats, or a
     slice, which ``np.add.at`` would add value by value."""
@@ -288,50 +278,49 @@ def _advance(x: np.ndarray, flux: FluxFunction, scheme: str, sigma: float, h: fl
     """The Euler step kernel: takes every step and returns the final positions.
 
     Takes ``n_full`` steps of length ``h``, then one of length ``last`` when
-    ``last > 0``.  It steps its own copy of ``x`` and never writes the
-    caller's array.  The positions live in that one buffer, which each
-    step updates in place.
+    ``last > 0``: two segments, each of steps of one length.  It steps its
+    own copy of ``x`` and never writes the caller's array.  The positions
+    live in that one buffer, which each step updates in place.
 
     A step ranks first (:func:`zero_based_ranks`), then adds the drift
     coefficient of rank q times the step length to particle ``order[q]``
     (:func:`_add_through`); no ranks array is built.  Only then does it
-    draw: increments come whole steps at a time, one ``(rows, n)`` block
-    per draw of at most ``_DRAW_BLOCK`` values (one row when n is larger),
-    so particle i at step k still consumes position k*n + i of ``rng``'s
-    stream, and a block's draws are dropped before the next block ranks.
-    With one row per draw the coefficients are computed block by
-    block (:func:`_add_drift`) and the sort order is dropped before the
-    draw, so a step holds two arrays of n values at its peak: the
-    positions, and the packed sort words while it ranks or the increments
-    after.  Smaller runs keep a per-run product of the cached drift table
-    and ``h`` (``last`` for a partial step) and add it in one call, which
-    saves the coefficients' passes.
+    draw: increments come whole steps of one segment at a time, one
+    ``(rows, n)`` block per draw of at most ``_DRAW_BLOCK`` values (one row
+    when n is larger), so particle i at step k still consumes position
+    k*n + i of ``rng``'s stream, and a block's draws are dropped before the
+    next block ranks.  With one row per draw the coefficients are computed
+    block by block (:func:`_add_drift`) and the sort order is dropped
+    before the draw, so a step holds two arrays of n values at its peak:
+    the positions, and the packed sort words while it ranks or the
+    increments after.  Smaller runs form every coefficient (:func:`_drift`)
+    times the step length once per segment and add it in one call, which
+    saves the coefficients' passes.  Nothing outlives the call.
 
     A step gives the bits of ``drift[r]*dt + x + z*(sigma*sqrt(dt))``,
-    added in that order (addition commutes bit for bit); each block's rows
-    are scaled by their step's ``sigma*sqrt(dt)`` as soon as they are drawn.
+    added in that order (addition commutes bit for bit); each block is
+    scaled by its segment's ``sigma*sqrt(dt)`` as soon as it is drawn.
     """
     x = np.array(x, dtype=float)
     n = x.size
-    n_steps = n_full + (last > 0.0)
     rows = max(1, _DRAW_BLOCK // n)
-    table = _drift_table(flux, n, scheme) * h if rows > 1 else None
-    for first in range(0, n_steps, rows):
-        noise = None
-        for k in range(first, min(first + rows, n_steps)):
-            if k == n_full and table is not None:
-                table = _drift_table(flux, n, scheme) * last
-            # no name holds the sort order, so its words go before the increments come
-            if table is None:
-                _add_drift(x, zero_based_ranks(x), flux, scheme, h if k < n_full else last)
-            else:
-                _add_through(x, zero_based_ranks(x), table)  # the whole table as one block
-            if noise is None:
-                noise = standard_normals(rng, (min(rows, n_steps - first), n))
-                full = min(len(noise), n_full - first)
-                noise[:full] *= sigma * np.sqrt(h)
-                noise[full:] *= sigma * np.sqrt(last)  # the partial last step, if any
-            x += noise[k - first]
+    for dt, n_steps in ((h, n_full), (last, int(last > 0.0))):
+        drift = None
+        if rows > 1 and n_steps:
+            drift = _drift(flux, n, scheme, 0, n)
+            drift *= dt
+        for first in range(0, n_steps, rows):
+            noise = None
+            for k in range(min(rows, n_steps - first)):
+                # no name holds the sort order, so its words go before the increments come
+                if drift is None:
+                    _add_drift(x, zero_based_ranks(x), flux, scheme, dt)
+                else:
+                    _add_through(x, zero_based_ranks(x), drift)  # every rank as one block
+                if noise is None:
+                    noise = standard_normals(rng, (min(rows, n_steps - first), n))
+                    noise *= sigma * np.sqrt(dt)
+                x += noise[k]
     return x
 
 

@@ -59,12 +59,11 @@ SWEEP_H = "h"
 _BYTES_PER_PARTICLE = 18
 
 #: bytes of one run's fixed-size buffers: one draw of increments
-#: (``_DRAW_BLOCK`` values), the cached drift table and its product with
-#: the step, both held up to ``_DRAW_BLOCK // 2`` particles, and one block
-#: of sort keys or drift coefficients.  Under tracemalloc, the table not
-#: yet cached, they lift a run of N=20000 to 60.3 bytes a particle and one
-#: of N=2**15 to 50.6
-_BYTES_PER_RUN = 8 * (2 * _DRAW_BLOCK + _BLOCK)
+#: (``_DRAW_BLOCK`` values), the drift coefficients times the step, held
+#: up to ``_DRAW_BLOCK // 2`` particles, and one block of sort keys or
+#: drift coefficients.  Under tracemalloc they lift a run of N=20000 to
+#: 52.3 bytes a particle and one of N=2**15 to 42.6
+_BYTES_PER_RUN = 8 * (_DRAW_BLOCK + _DRAW_BLOCK // 2 + _BLOCK)
 
 #: peak bytes per cell of the exact-quantile bisection of a weak grid: 67
 #: under tracemalloc at K=5000 and at K=10**6, rounded up
@@ -122,9 +121,12 @@ class StudySpec:
     """One convergence table, checked whole before it runs.
 
     ``base`` carries the horizon, diffusion, flux (with an exact reference),
-    scheme, initialization and base seed.  Derived: ``configs[j]`` is ``base``
-    with the swept field set to row j's value and seed ``derive_seed(base.seed,
-    j)`` (``base.seed`` when paired); ``reference`` is the exact solution and
+    scheme, initialization and base seed.  ``threads`` bounds the worker
+    processes of the study's pool.  Derived: ``workers`` is the number of
+    runs that execute at once, ``threads`` bounded by the runs of a row
+    and the cores the process may use; ``configs[j]`` is ``base`` with the
+    swept field set to row j's value and seed ``derive_seed(base.seed, j)``
+    (``base.seed`` when paired); ``reference`` is the exact solution and
     ``grid`` the weak reference grid.
     """
 
@@ -136,11 +138,15 @@ class StudySpec:
     batches: Optional[int] = None
     grid_k: int = 5000
     paired_seeds: bool = False
+    threads: int = 1
+    workers: int = field(init=False, compare=False)
     configs: tuple[SimulationConfig, ...] = field(init=False, compare=False)
     reference: BurgersSolution = field(init=False, compare=False, repr=False)
     grid: Optional[GridSpec] = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
+        if self.threads < 1:
+            raise ConfigError(f"thread count must be >= 1, got {self.threads}")
         if self.kind not in (STRONG, WEAK):
             raise ConfigError(f"unknown study kind {self.kind!r}")
         if self.sweep not in (SWEEP_N, SWEEP_H):
@@ -149,6 +155,7 @@ class StudySpec:
             raise ConfigError("sweep needs at least one value")
         if self.runs < 2:
             raise ConfigError("need at least 2 runs")
+        object.__setattr__(self, "workers", min(self.threads, self.runs, _cores()))
         object.__setattr__(self, "reference", get_reference(self.base))
         weak = self.kind == WEAK
         if weak:
@@ -158,10 +165,9 @@ class StudySpec:
                 raise ConfigError("batches must divide runs")
         object.__setattr__(self, "configs", tuple(
             self._row(j, value) for j, value in enumerate(self.values)))
-        # as many runs at once as the largest pool this host allows; a weak
-        # row folds its runs into the batch sums, a strong row keeps them all
+        # a weak row folds its runs into the batch sums, a strong row keeps them all
         check_memory(particles=max(c.n_particles for c in self.configs),
-                     workers=min(self.runs, _cores()), cells=self.grid_k if weak else 0,
+                     workers=self.workers, cells=self.grid_k if weak else 0,
                      batches=self.batches if weak else 0, results=0 if weak else self.runs)
         if weak:
             try:
@@ -220,17 +226,16 @@ def _interruptible(run, run_index: int):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _map_runs(spec: StudySpec, threads: int) -> Iterator:
+def _map_runs(spec: StudySpec) -> Iterator:
     """Stream every run's statistic in (row, run index) order: the grid-free
     estimate in a strong study, the CDF at the midpoint quantiles in a weak one.
 
-    With more than one thread one process pool for the whole study decides
-    where runs execute.  It has at most one worker per run of a row and
-    per core the process may use, and none when that is one.  At most
-    ``_IN_FLIGHT_PER_WORKER`` runs per worker, of one row or two, are
-    submitted and not yet yielded: the next run is submitted when the
-    oldest one has yielded.  When the caller stops early (Ctrl-C, or a
-    failed run or row), the runs not yet started are cancelled.
+    When ``spec.workers`` is more than one, one process pool of that many
+    workers decides where the study's runs execute; with one there is no
+    pool.  At most ``_IN_FLIGHT_PER_WORKER`` runs per worker, of one row
+    or two, are submitted and not yet yielded: the next run is submitted
+    when the oldest one has yielded.  When the caller stops early (Ctrl-C,
+    or a failed run or row), the runs not yet started are cancelled.
     """
     if spec.kind == STRONG:
         statistic = partial(psi_grid_free,
@@ -239,12 +244,11 @@ def _map_runs(spec: StudySpec, threads: int) -> Iterator:
         statistic = partial(empirical_cdf_at, x=spec.grid.midpoint_quantiles)
     rows = [partial(_run, config, statistic) for config in spec.configs]
     tasks = ((run, r) for run in rows for r in range(spec.runs))
-    workers = min(threads, spec.runs, _cores())
-    if workers <= 1:
+    if spec.workers == 1:
         yield from (run(r) for run, r in tasks)
         return
-    window = _IN_FLIGHT_PER_WORKER * workers
-    with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
+    window = _IN_FLIGHT_PER_WORKER * spec.workers
+    with ProcessPoolExecutor(max_workers=spec.workers, initializer=signal.signal,
                              initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
         in_flight = deque()
         try:
@@ -320,14 +324,14 @@ def weak_error_point(spec: StudySpec, results: Iterator) -> tuple[float, float]:
     return _with_half_width(phi_grid(total / runs, grid), batch_values)
 
 
-def run_study(spec: StudySpec, *, threads: int = 1) -> tuple[StudyRow, ...]:
+def run_study(spec: StudySpec) -> tuple[StudyRow, ...]:
     """One table row per config the spec built, in sweep order; the ratio is
     the previous estimate over the row's own, none on the first row and on
     a row whose estimate is 0.  Row j reduces the j-th slice of
     ``spec.runs`` results of the study's one stream of runs."""
     point = strong_error_point if spec.kind == STRONG else weak_error_point
     rows = []
-    with closing(_map_runs(spec, threads)) as results:
+    with closing(_map_runs(spec)) as results:
         for value in spec.values:
             try:
                 estimation, precision = point(spec, results)

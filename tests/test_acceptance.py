@@ -6,6 +6,8 @@ the analytic oracles and structural identities at their stated tolerances.
 Each check prints one PASS/FAIL line; run with ``pytest -s`` to see them.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -50,29 +52,29 @@ def base_config(**kw):
 @pytest.fixture(scope="module")
 def strong_n_table():
     spec = StudySpec("strong", base_config(seed=2024), "n", (250, 1000, 4000),
-                     runs=100)
-    return run_study(spec, threads=2)
+                     runs=100, threads=2)
+    return run_study(spec)
 
 
 @pytest.fixture(scope="module")
 def strong_h_table():
     spec = StudySpec("strong", base_config(n_particles=50_000, step=0.5), "h",
-                     H_SWEEP, runs=100)
-    return run_study(spec, threads=2)
+                     H_SWEEP, runs=100, threads=2)
+    return run_study(spec)
 
 
 @pytest.fixture(scope="module")
 def weak_n_table():
     spec = StudySpec("weak", base_config(), "n", (100, 200, 400), runs=5000,
-                     batches=50, grid_k=5000)
-    return run_study(spec, threads=2)
+                     batches=50, grid_k=5000, threads=2)
+    return run_study(spec)
 
 
 @pytest.fixture(scope="module")
 def weak_h_table():
     spec = StudySpec("weak", base_config(n_particles=20_000, step=0.5), "h",
-                     H_SWEEP, runs=1000, batches=20, grid_k=5000)
-    return run_study(spec, threads=2)
+                     H_SWEEP, runs=1000, batches=20, grid_k=5000, threads=2)
+    return run_study(spec)
 
 
 # -- 1. strong error vs number of particles -----------------------------------
@@ -89,8 +91,9 @@ def test_criterion_1_strong_error_vs_n(strong_n_table):
 
 def test_strong_error_reference_row_n16000():
     # one row with paired seeds runs the base config's own seed
-    spec = StudySpec("strong", base_config(), "n", (16_000,), runs=100, paired_seeds=True)
-    (row,) = run_study(spec, threads=2)
+    spec = StudySpec("strong", base_config(), "n", (16_000,), runs=100, paired_seeds=True,
+                     threads=2)
+    (row,) = run_study(spec)
     est, prec = row.estimation, row.precision
     ref_est, ref_prec = STRONG_N_REFERENCE[16000]
     ok = abs(est - ref_est) <= 3.0 * ref_prec
@@ -247,10 +250,10 @@ def test_criterion_7_structural_properties():
 def test_criterion_8_thread_count_invariance():
     spec = StudySpec("weak", base_config(n_particles=64, step=0.125), "n",
                      (32, 64), runs=8, batches=2, grid_k=200)
-    serial = run_study(spec, threads=1)
-    repeat = run_study(spec, threads=1)
-    pooled2 = run_study(spec, threads=2)
-    pooled3 = run_study(spec, threads=3)
+    serial = run_study(spec)
+    repeat = run_study(spec)
+    pooled2 = run_study(replace(spec, threads=2))
+    pooled3 = run_study(replace(spec, threads=3))
     ok = serial == repeat == pooled2 == pooled3
     report("8 determinism", ok,
            "bitwise identical tables for threads in {1, 1, 2, 3}")

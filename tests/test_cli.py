@@ -238,7 +238,7 @@ def test_weak_custom_runs_get_default_batches(tmp_path, monkeypatch):
 
 
 def test_numerical_failure_exit_code(monkeypatch):
-    def boom(spec, threads):
+    def boom(spec):
         raise NumericalError("synthetic")
 
     monkeypatch.setattr(cli.harness, "run_study", boom)
@@ -360,11 +360,20 @@ def test_bad_thread_count_is_config_error(threads):
 def test_bad_thread_count_builds_no_study(monkeypatch, capsys):
     # building a weak study bisects its reference grid: a bad count exits first
     built = []
-    monkeypatch.setattr(cli.harness, "StudySpec", lambda *args, **kw: built.append(args))
+    monkeypatch.setattr(cli.harness.GridSpec, "from_quantile", lambda *args: built.append(args))
     assert run_cli(["weak", "--sweep", "n:10", "--step", "0.5", "--runs", "4", "--batches",
                     "2", "--grid", "1000000", "--threads", "0"]) == 2
     assert capsys.readouterr().err == "rankflow: thread count must be >= 1, got 0\n"
     assert built == []
+
+
+def test_default_batch_search_is_bounded(capsys):
+    # 10**9 + 7 is prime: no divisor below 10**6 is found, so the runs are
+    # the batches, whose sums do not fit; the search ends in well under a second
+    start = time.perf_counter()
+    assert run_cli(["weak", "--sweep", "n:4", "--step", "0.5", "--runs", "1000000007"]) == 2
+    assert time.perf_counter() - start < 5
+    assert "MiB of memory" in capsys.readouterr().err
 
 
 def run_cli_process(args):

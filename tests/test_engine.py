@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,10 +217,10 @@ CUBIC = FluxFunction.polynomial((0.2, -0.4, 0.1, 1.0 / 3.0))
 
 
 @pytest.mark.parametrize("n, init, step, horizon, n_full, flux, scheme", [
-    # 6 full steps, and the partial step opens the fourth block
+    # 6 full steps fill three blocks, and the partial step is a block of its own
     (TWO_ROWS, InitRule(), 0.25, 1.6, 6, BURGERS, "rank"),
     (TWO_ROWS, IID_GAUSS, 0.25, 1.6, 6, BURGERS, "rank"),
-    # 5 full steps, and the partial step shares the third block with a full one
+    # 5 full steps end in a one-step block, and the partial step follows in its own
     (TWO_ROWS, InitRule(), 0.25, 1.4, 5, BURGERS, "rank"),
     (TWO_ROWS, IID_GAUSS, 0.25, 1.4, 5, BURGERS, "rank"),
     # 6 full steps fill three blocks, and there is no partial step
@@ -232,7 +233,8 @@ CUBIC = FluxFunction.polynomial((0.2, -0.4, 0.1, 1.0 / 3.0))
     (ONE_ROW, IID_GAUSS, 0.3, 1.0, 3, CUBIC, FRACTIONAL_RANK),
     # every value ties at the first step: the identity order, block by block
     (ONE_ROW, InitRule(), 0.3, 1.0, 3, BURGERS, "rank"),
-], ids=["dirac", "iid", "dirac-partial-step-ends-a-block", "iid-partial-step-ends-a-block",
+], ids=["dirac", "iid", "dirac-full-steps-end-a-short-block",
+        "iid-full-steps-end-a-short-block",
         "dirac-no-partial-step", "iid-no-partial-step", "one-row-iid-partial-step",
         "one-row-cubic-partial-step", "one-row-frac-partial-step",
         "one-row-cubic-frac-partial-step", "one-row-dirac-partial-step"])
@@ -260,7 +262,7 @@ def test_drift_blocks_equal_the_whole_table(flux, scheme):
     # a block of ranks gets the bits of the same ranks of the whole table
     n = ONE_ROW + 1
     table = drift_table_unblocked(flux, n, scheme)
-    assert engine._drift_table.__wrapped__(flux, n, scheme).tobytes() == table.tobytes()
+    assert engine._drift(flux, n, scheme, 0, n).tobytes() == table.tobytes()
     for start in (0, 1, 8191, 8192, n - 5):
         stop = min(start + 8192, n)
         assert engine._drift(flux, n, scheme, start, stop).tobytes() == table[start:stop].tobytes()
@@ -288,6 +290,39 @@ def test_one_row_step_holds_two_particle_arrays_and_its_blocks():
     finally:
         tracemalloc.stop()
     assert 2 * n * 8 < peak < 2 * n * 8 + 2 * engine._BLOCK * 8 + 16384
+
+
+@pytest.mark.parametrize("n, step, horizon, draws", [
+    (TWO_ROWS, 0.25, 1.4, 4),  # blocks (0, 1), (2, 3), (4,), then the partial step
+    (TWO_ROWS, 0.25, 1.6, 4),
+    (TWO_ROWS, 0.25, 1.5, 3),
+    (4, 0.002, 1.0, 1),  # 500 steps in one block
+    (ONE_ROW, 0.3, 1.0, 4),  # one draw per step
+], ids=["two-rows-odd", "two-rows-even", "two-rows-no-partial-step", "one-block",
+        "one-row"])
+def test_draw_schedule(n, step, horizon, draws, monkeypatch):
+    # a draw block holds steps of one length: the full steps, then the partial one
+    calls = []
+    monkeypatch.setattr(engine, "standard_normals",
+                        lambda rng, size: calls.append(size) or standard_normals(rng, size))
+    simulate(config(n_particles=n, step=step, horizon=horizon))
+    n_full = int(np.floor(horizon / step + engine._STEP_SLACK))
+    rows = max(1, engine._DRAW_BLOCK // n)
+    assert len(calls) == -(-n_full // rows) + (horizon - n_full * step > 1e-9) == draws
+
+
+def test_run_leaves_no_array_behind():
+    # a size no other test runs: nothing of the run outlives it
+    cfg = config(n_particles=2**15 - 3, step=0.25, horizon=1.1, init=IID_GAUSS)
+    simulate(cfg)  # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        simulate(replace(cfg, n_particles=2**15))
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 4096
 
 
 @pytest.mark.parametrize("init", [InitRule(), IID_GAUSS], ids=["dirac", "iid"])

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import flux_value, lipschitz_speed, max_speed, rank_coefficients
 from rankflow import ConfigError, DomainError, FluxFunction, parse_flux
-from rankflow.engine import _drift_table
+from rankflow.engine import _drift
 
 CUBIC = FluxFunction.polynomial((0.2, -0.4, 0.1, 1.0 / 3.0))  # derivative u^2 + 0.2u - 0.4
 
@@ -74,22 +74,14 @@ def test_rank_coefficients_bounded_by_max_speed():
             assert np.max(np.abs(rank_coefficients(f, n))) <= max_speed(f) + 1e-15
 
 
-def test_drift_table_cached_and_read_only():
+def test_drift_table_is_the_rank_coefficients():
     # the closed-form Burgers table and the differenced polynomial one
     for f in (FluxFunction.burgers(), CUBIC):
-        # one table per (flux, n, scheme): the same object on every call
-        rank = _drift_table(f, 64, "rank")
-        frac = _drift_table(f, 64, "frac")
-        assert _drift_table(FluxFunction(f.coefficients), 64, "rank") is rank
-        assert _drift_table(f, 64, "frac") is frac
-        assert frac is not rank
-        assert _drift_table(f, 32, "rank") is not rank
+        rank = _drift(f, 64, "rank", 0, 64)
+        frac = _drift(f, 64, "frac", 0, 64)
         # rank q takes the one-based cell average of cell q; frac the speed at q/n
         np.testing.assert_array_equal(rank[1:], rank_coefficients(f, 64)[:-1])
         np.testing.assert_array_equal(frac, f.derivative(np.arange(64) / 64))
-        for table in (rank, frac):
-            with pytest.raises(ValueError):
-                table[0] = 0.0
 
 
 def test_polynomial_lipschitz_speed():

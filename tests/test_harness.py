@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -149,9 +150,9 @@ def test_run_study_sweep_h():
 def test_run_study_deterministic_and_thread_invariant():
     spec = StudySpec("weak", burgers_config(n_particles=12), "n", (6, 12), 6,
                      batches=3, grid_k=40)
-    serial = run_study(spec, threads=1)
-    again = run_study(spec, threads=1)
-    pooled = run_study(spec, threads=2)
+    serial = run_study(spec)
+    again = run_study(spec)
+    pooled = run_study(replace(spec, threads=2))
     assert serial == again
     assert serial == pooled
 
@@ -231,8 +232,9 @@ def pin_cores(monkeypatch, cores):
 def test_pool_has_no_more_workers_than_runs(fake_pool, monkeypatch):
     # --threads 8 --runs 2 starts two processes, on a host with more cores
     pin_cores(monkeypatch, set(range(8)))
-    spec = StudySpec("strong", burgers_config(), "n", (4,), 2)
-    assert run_study(spec, threads=8) == run_study(spec)
+    spec = StudySpec("strong", burgers_config(), "n", (4,), 2, threads=8)
+    assert spec.workers == 2
+    assert run_study(spec) == run_study(replace(spec, threads=1))
     assert fake_pool == [2]
 
 
@@ -241,8 +243,8 @@ def test_pool_has_no_more_workers_than_cores(fake_pool, monkeypatch, cores, pool
     # --threads 100000 --runs 4 would fork 100000 processes without the bound;
     # on one core no pool is built at all
     pin_cores(monkeypatch, cores)
-    spec = StudySpec("strong", burgers_config(), "n", (4,), 4)
-    assert run_study(spec, threads=100000) == run_study(spec)
+    spec = StudySpec("strong", burgers_config(), "n", (4,), 4, threads=100000)
+    assert run_study(spec) == run_study(replace(spec, threads=1))
     assert fake_pool == pools
 
 
@@ -253,9 +255,9 @@ def test_runs_in_flight_never_exceed_the_window(fake_pool, monkeypatch):
     pin_cores(monkeypatch, {0, 1})
     monkeypatch.setattr(harness, "_run", lambda config, statistic, r: (config.n_particles, r))
     runs = 10**5
-    spec = StudySpec("strong", burgers_config(), "n", (4, 8, 16), runs)
+    spec = StudySpec("strong", burgers_config(), "n", (4, 8, 16), runs, threads=2)
     streamed = []
-    for result in harness._map_runs(spec, threads=2):
+    for result in harness._map_runs(spec):
         streamed.append(result)
         if result == (4, runs - 1):  # the first row's last run: seven of the next queued
             assert fake_pool.in_flight == 7
@@ -307,17 +309,16 @@ def traced_peak(work) -> int:
 
 def test_memory_model_bounds_the_measured_peaks():
     # the bytes per particle and the fixed bytes of a run bound one strong
-    # run (step kernel and estimator) with its drift table not yet cached;
+    # run (step kernel and estimator);
     # the bytes per cell bound one weak grid's exact-quantile bisection
     statistic = partial(psi_grid_free, exact_cdf=partial(BurgersSolution(SIGMA).cdf, 1.0))
     peaks = {}
     for n in (20_000, 2**15, 33_000, 70_000):
         config = burgers_config(n_particles=n, init=InitRule(IID, Gaussian(0.0, 1.0)))
         harness._run(config, statistic, 0)  # warm-up
-        engine._drift_table.cache_clear()
         peaks[n] = traced_peak(lambda: harness._run(config, statistic, 0))
         assert peaks[n] <= n * harness._BYTES_PER_PARTICLE + harness._BYTES_PER_RUN, n
-    # N=2**15 is the largest run that holds the drift table: the fixed
+    # N=2**15 is the largest run that forms every drift coefficient at once: the fixed
     # bytes are most of its need; from N=70000 on the particles are
     assert 0.75 * (2**15 * harness._BYTES_PER_PARTICLE + harness._BYTES_PER_RUN) < peaks[2**15]
     assert 0.75 * harness._BYTES_PER_PARTICLE < peaks[70_000] / 70_000
@@ -329,8 +330,9 @@ def test_memory_model_bounds_the_measured_peaks():
 @pytest.mark.parametrize("cores, workers", [({0}, 1), ({0, 1, 2}, 3), (set(range(8)), 4)],
                          ids=["one-core", "three-cores", "more-cores-than-runs"])
 def test_study_spec_checks_memory_before_the_grid(monkeypatch, cores, workers):
-    # one run's arrays per worker the pool may start, plus the bisection
-    # and the batch sums of the weak grid; nothing is built past the limit
+    # one run's arrays per worker the pool starts (--threads 8: one per core
+    # and per run of a row), plus the bisection and the batch sums of the
+    # weak grid; nothing is built past the limit
     pin_cores(monkeypatch, cores)
 
     def build_grid(*_):
@@ -341,10 +343,21 @@ def test_study_spec_checks_memory_before_the_grid(monkeypatch, cores, workers):
             + 300 * (harness._BYTES_PER_CELL + 8 * 2))
     monkeypatch.setattr(harness, "_physical_memory", lambda: need - 1)
     with pytest.raises(ConfigError, match=r"MiB of memory, more than the \d MiB of physical"):
-        StudySpec("weak", burgers_config(), "n", (4, 1000), 4, batches=2, grid_k=300)
+        StudySpec("weak", burgers_config(), "n", (4, 1000), 4, batches=2, grid_k=300, threads=8)
     monkeypatch.setattr(harness, "_physical_memory", lambda: need)
     with pytest.raises(AssertionError, match="the weak grid is built"):  # past the check
-        StudySpec("weak", burgers_config(), "n", (4, 1000), 4, batches=2, grid_k=300)
+        StudySpec("weak", burgers_config(), "n", (4, 1000), 4, batches=2, grid_k=300, threads=8)
+
+
+def test_study_spec_counts_the_runs_its_threads_start(monkeypatch):
+    # one thread runs one run at a time whatever the cores: one run fits
+    # the memory, and only a spec that runs two at once is refused
+    monkeypatch.setattr(harness, "_cores", lambda: 2)
+    need = 1000 * harness._BYTES_PER_PARTICLE + harness._BYTES_PER_RUN + 8 * 2
+    monkeypatch.setattr(harness, "_physical_memory", lambda: need)
+    assert StudySpec("strong", burgers_config(), "n", (1000,), 2).workers == 1
+    with pytest.raises(ConfigError, match="MiB of memory, more than the"):
+        StudySpec("strong", burgers_config(), "n", (1000,), 2, threads=2)
 
 
 def test_strong_spec_counts_its_runs(monkeypatch):
@@ -472,7 +485,7 @@ def test_emit_json_round_trip(table):
 
 def test_emit_stdout(tmp_path, capsys, monkeypatch, table):
     # without --out a study table goes to stdout, with the bytes it has in a file
-    monkeypatch.setattr(cli.harness, "run_study", lambda spec, threads: table)
+    monkeypatch.setattr(cli.harness, "run_study", lambda spec: table)
     for fmt in ("csv", "json"):
         args = ["strong", "--sweep", "n:4", "--runs", "2", "--step", "0.5", "--format", fmt]
         assert cli.main(args) == 0
