@@ -8,8 +8,7 @@ studies of the strong and weak errors.
 
 from .engine import (FRACTIONAL_RANK, IID, OPTIMAL, RANK_COEFFICIENT, InitRule,
                      ParticleEnsemble, SimulationConfig, simulate)
-from .errors import (BracketError, ConfigError, DomainError, NumericalError, RankflowError,
-                     UnsupportedReferenceError)
+from .errors import ConfigError, NumericalError
 from .exact import BurgersSolution
 from .flux import FluxFunction, parse_flux
 from .harness import (STRONG, SWEEP_H, SWEEP_N, WEAK, StudyRow, StudySpec, run_study,
@@ -21,12 +20,10 @@ from .metrics import GridSpec, empirical_cdf_at, phi_grid, psi_grid_free
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketError", "BurgersSolution", "ConfigError", "DiracAtZero", "DomainError",
-    "FluxFunction", "FRACTIONAL_RANK", "Gaussian", "GridSpec", "IID", "InitRule",
-    "InitialDistribution", "NumericalError", "OPTIMAL", "ParticleEnsemble",
-    "RANK_COEFFICIENT", "RankflowError", "STRONG", "SWEEP_H", "SWEEP_N",
-    "SimulationConfig", "StudyRow", "StudySpec", "Uniform", "UnsupportedReferenceError",
-    "WEAK", "empirical_cdf_at", "iid_positions", "optimal_positions",
-    "parse_distribution", "parse_flux", "phi_grid", "psi_grid_free", "run_study",
-    "simulate", "strong_error_point", "weak_error_point",
+    "BurgersSolution", "ConfigError", "DiracAtZero", "FluxFunction", "FRACTIONAL_RANK",
+    "Gaussian", "GridSpec", "IID", "InitRule", "InitialDistribution", "NumericalError",
+    "OPTIMAL", "ParticleEnsemble", "RANK_COEFFICIENT", "STRONG", "SWEEP_H", "SWEEP_N",
+    "SimulationConfig", "StudyRow", "StudySpec", "Uniform", "WEAK", "empirical_cdf_at",
+    "iid_positions", "optimal_positions", "parse_distribution", "parse_flux", "phi_grid",
+    "psi_grid_free", "run_study", "simulate", "strong_error_point", "weak_error_point",
 ]

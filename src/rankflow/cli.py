@@ -42,7 +42,8 @@ from .flux import parse_flux
 from .initial import parse_distribution
 
 # Desk-scale presets run each study in minutes on one core; the full-scale
-# presets reproduce the headline tables.  Explicit flags always win.
+# presets reproduce the headline tables.  Explicit flags always win, and a
+# flag for the swept field is an error.
 _PRESETS = {
     ("strong", "n"): {
         "desk": dict(values=(250, 1000, 4000), step=0.002, runs=100),
@@ -257,8 +258,12 @@ def _cmd_study(kind: str, args) -> int:
     preset = _PRESETS[(kind, sweep)]["full" if args.full else "desk"]
     # the swept field of the base is a placeholder: every row sets its own
     if sweep == "n":
+        if args.particles is not None:
+            raise ConfigError("--particles cannot be set on an n-sweep: the sweep sets N")
         particles, step = 1, args.step if args.step is not None else preset["step"]
     else:
+        if args.step is not None:
+            raise ConfigError("--step cannot be set on an h-sweep: the sweep sets h")
         particles = args.particles if args.particles is not None else preset["particles"]
         step = args.horizon
     runs = args.runs if args.runs is not None else preset["runs"]

@@ -74,10 +74,13 @@ class InitRule:
         if self.rule not in (OPTIMAL, IID):
             raise ConfigError(f"unknown init rule {self.rule!r}")
 
-    def positions(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def positions(self, n: int, seed: int) -> np.ndarray:
+        """The n positions at time zero of a run with this seed: the i.i.d.
+        rule draws them from the stream ``(seed, 0)``, the optimal rule
+        opens no stream."""
         if self.rule == OPTIMAL:
             return optimal_positions(self.distribution, n)
-        return iid_positions(self.distribution, n, rng)
+        return iid_positions(self.distribution, n, make_generator(derive_seed(seed, 0)))
 
 
 @dataclass(frozen=True)
@@ -103,10 +106,10 @@ class SimulationConfig:
     def __post_init__(self):
         if self.n_particles < 1:
             raise ConfigError("n_particles must be >= 1")
+        if not 0.0 < self.horizon < np.inf:
+            raise ConfigError("horizon must be finite and > 0")
         if not 0.0 < self.step <= self.horizon:
             raise ConfigError("need 0 < step <= horizon")
-        if not np.isfinite(self.horizon):
-            raise ConfigError("horizon must be finite")
         if self.horizon / self.step > MAX_STEPS:
             raise ConfigError(f"horizon/step exceeds {MAX_STEPS:.0e} Euler steps")
         if self.sigma < 0.0 or not np.isfinite(self.sigma):
@@ -338,7 +341,6 @@ def simulate(config: SimulationConfig) -> ParticleEnsemble:
     non-finite final position raises NumericalError.
     """
     n, h, horizon = config.n_particles, config.step, config.horizon
-    init_rng = make_generator(derive_seed(config.seed, 0))
     steps_rng = make_generator(derive_seed(config.seed, 1))
 
     n_full = int(np.floor(horizon / h + _STEP_SLACK))
@@ -347,7 +349,7 @@ def simulate(config: SimulationConfig) -> ParticleEnsemble:
         remainder = 0.0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        x = _advance(config.init.positions(n, init_rng), config.flux, config.scheme,
+        x = _advance(config.init.positions(n, config.seed), config.flux, config.scheme,
                      config.sigma, h, n_full, remainder, steps_rng)
     if not np.isfinite(x).all():
         raise NumericalError("positions overflowed: not every final position is finite")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_ndtr
 
-from .errors import BracketError, ConfigError, DomainError
+from .errors import ConfigError, NumericalError
 
 _BISECTION_ROUNDS = 200
 _BRACKET_EXPANSIONS = 200
@@ -45,7 +45,7 @@ class BurgersSolution:
         representable by the closed form; query the Dirac initial law for it.
         """
         if not 0.0 < t < np.inf:
-            raise DomainError("the closed form requires a finite t > 0")
+            raise ConfigError("the closed form requires a finite t > 0")
         x = np.asarray(x, dtype=float)
         scale = self.sigma * np.sqrt(t)
         # g in place, in the operation order of the formula in the module
@@ -74,10 +74,10 @@ class BurgersSolution:
         cdf(t, x - d) <= u <= cdf(t, x + d) with d = 4 eps max(1, |x|).
         """
         if not 0.0 < t < np.inf:
-            raise DomainError("the closed form requires a finite t > 0")
+            raise ConfigError("the closed form requires a finite t > 0")
         uu = np.asarray(u, dtype=float)
         if np.any(uu <= 0.0) or np.any(uu >= 1.0):
-            raise DomainError("quantile argument must lie strictly inside (0, 1)")
+            raise ConfigError("quantile argument must lie strictly inside (0, 1)")
 
         lo = np.full_like(uu, t / 2.0 - 1.0)
         hi = np.full_like(uu, t / 2.0 + 1.0)
@@ -91,7 +91,8 @@ class BurgersSolution:
             lo[need_lo] -= width
             hi[need_hi] += width
         else:
-            raise BracketError("could not bracket the quantile after 200 expansions")
+            raise NumericalError(f"could not bracket the quantile at t = {t:.6g}, sigma^2 = "
+                                 f"{self.sigma ** 2:.6g} after 200 expansions")
 
         for _ in range(_BISECTION_ROUNDS):
             mid = 0.5 * (lo + hi)

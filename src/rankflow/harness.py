@@ -41,7 +41,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .engine import _BLOCK, _DRAW_BLOCK, SimulationConfig, simulate
-from .errors import ConfigError, NumericalError, UnsupportedReferenceError
+from .errors import ConfigError, NumericalError
 from .exact import BurgersSolution
 from .metrics import GridSpec, empirical_cdf_at, phi_grid, psi_grid_free
 from .stream import derive_seed
@@ -111,7 +111,7 @@ def _cores() -> int:
 def get_reference(config: SimulationConfig) -> BurgersSolution:
     """The exact solution of the config's law: Burgers is the only one."""
     if not config.flux.is_burgers:
-        raise UnsupportedReferenceError(
+        raise ConfigError(
             "no exact reference solution for this flux: only the Burgers flux has one")
     return BurgersSolution(config.sigma)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .stream import open_uniforms
 
 
@@ -26,7 +26,7 @@ class InitialDistribution(abc.ABC):
         """Generalized inverse inf{x : cdf(x) >= u}, defined for u in (0, 1)."""
         a = np.asarray(u, dtype=float)
         if np.any(a <= 0.0) or np.any(a >= 1.0):
-            raise DomainError("quantile argument must lie strictly inside (0, 1)")
+            raise ConfigError("quantile argument must lie strictly inside (0, 1)")
         with np.errstate(over="ignore"):  # a law near the float range gives +-inf
             out = self._quantile(a)
         return float(out) if a.ndim == 0 else out

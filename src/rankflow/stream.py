@@ -19,9 +19,9 @@ reproducible bit for bit across platforms and thread counts:
   ``numpy.random.SeedSequence`` and keeping the first 64-bit word.  The
   study harness derives ``(base_seed, sweep_index)`` per table row and
   ``(row_seed, run_index)`` per Monte-Carlo run; a simulation derives
-  ``(run_seed, 0)`` for its initial positions and ``(run_seed, 1)`` for its
-  Brownian increments, so the increment stream does not depend on the
-  initialization rule.
+  ``(run_seed, 0)`` for its i.i.d. initial positions (the optimal rule
+  draws none) and ``(run_seed, 1)`` for its Brownian increments, so the
+  increment stream does not depend on the initialization rule.
 """
 
 from __future__ import annotations

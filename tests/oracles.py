@@ -25,7 +25,7 @@ from scipy.special import erfc, expit, log_ndtr, ndtri
 
 from rankflow import engine
 from rankflow.engine import SimulationConfig
-from rankflow.errors import ConfigError, DomainError
+from rankflow.errors import ConfigError
 from rankflow.exact import BurgersSolution
 from rankflow.flux import FluxFunction
 from rankflow.initial import DiracAtZero, Gaussian, InitialDistribution, Uniform
@@ -107,7 +107,7 @@ def trajectory(config: SimulationConfig) -> list[np.ndarray]:
     n_full = int(np.floor(config.horizon / h + engine._STEP_SLACK))
     last = config.horizon - n_full * h
     steps = [h] * n_full + ([last] if last >= engine._STEP_SLACK * h else [])
-    path = [config.init.positions(n, make_generator(derive_seed(config.seed, 0)))]
+    path = [config.init.positions(n, config.seed)]
     rng = make_generator(derive_seed(config.seed, 1))
     for dt in steps:
         path.append(engine._advance(path[-1], config.flux, config.scheme, config.sigma, dt, 1,
@@ -157,7 +157,7 @@ def flux_value(flux: FluxFunction, u):
     """Flux value at ``u`` in [0, 1] (scalar or array)."""
     u = np.asarray(u, dtype=float)
     if np.any(u < 0.0) or np.any(u > 1.0):
-        raise DomainError("flux argument must lie in [0, 1]")
+        raise ConfigError("flux argument must lie in [0, 1]")
     return npoly.polyval(u[()], flux.coefficients)
 
 
@@ -217,7 +217,7 @@ def pde_residual(solution: BurgersSolution, t: float, x: float, delta: float) ->
     if not delta > 0.0:
         raise ConfigError("delta must be > 0")
     if not t > 2.0 * delta:
-        raise DomainError("need t > 2*delta to center the time stencil")
+        raise ConfigError("need t > 2*delta to center the time stencil")
     flux = FluxFunction.burgers()
     dt_term = (solution.cdf(t + delta, x) - solution.cdf(t - delta, x)) / (2.0 * delta)
     f_mid = solution.cdf(t, x)
@@ -414,7 +414,7 @@ class HeatKernel:
 
     def g(self, t: float, x):
         if not t > 0.0:
-            raise DomainError("the kernel requires t > 0")
+            raise ConfigError("the kernel requires t > 0")
         x = np.asarray(x, dtype=float)
         var = self.sigma**2 * t
         out = np.exp(-(x**2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
@@ -422,7 +422,7 @@ class HeatKernel:
 
     def dg_dx(self, t: float, x):
         if not t > 0.0:
-            raise DomainError("the kernel requires t > 0")
+            raise ConfigError("the kernel requires t > 0")
         x = np.asarray(x, dtype=float)
         out = -x / (self.sigma**2 * t) * self.g(t, x)
         return float(out) if out.ndim == 0 else out

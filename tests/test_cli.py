@@ -146,7 +146,7 @@ def test_study_deterministic_across_invocations(tmp_path):
 def test_full_flag_switches_presets(capsys):
     # no explicit sweep values: desk preset vs full preset row counts differ
     assert run_cli(["weak", "--sweep", "n", "--runs", "4", "--batches", "2",
-                    "--grid", "30", "--step", "0.5", "--particles", "100"]) == 0
+                    "--grid", "30", "--step", "0.5"]) == 0
     desk_rows = len(capsys.readouterr().out.splitlines()) - 1
     assert desk_rows == 3  # desk preset sweeps three particle counts
 
@@ -333,8 +333,18 @@ def test_unwritable_out_fails_before_any_run(monkeypatch, capsys):
       "--sigma2", "1e-30", "--out"],
      "the exact quantile at sigma^2 = 1e-30 cannot separate K = 8 grid cells in double "
      "precision"),
+    # the flag of the swept field, which the sweep would override
+    (["strong", "--sweep", "n:8", "--step", "0.5", "--runs", "4", "--particles", "5",
+      "--out"], "--particles cannot be set on an n-sweep: the sweep sets N"),
+    (["weak", "--sweep", "h:0.5", "--particles", "8", "--runs", "4", "--batches", "2",
+      "--grid", "10", "--step", "0.1", "--out"],
+     "--step cannot be set on an h-sweep: the sweep sets h"),
+    # the horizon is named, not the step an h-sweep never got
+    (["strong", "--sweep", "h:0.5", "--particles", "4", "--runs", "2", "--horizon", "-1",
+      "--out"], "horizon must be finite and > 0"),
 ], ids=["runs", "no-reference", "batches", "threads", "horizon", "grid", "particles",
-        "weak-row-of-no-particles", "step-above-horizon", "nan-step", "weak-grid"])
+        "weak-row-of-no-particles", "step-above-horizon", "nan-step", "weak-grid",
+        "particles-on-n-sweep", "step-on-h-sweep", "h-sweep-horizon"])
 def test_bad_flag_touches_no_file(tmp_path, capsys, monkeypatch, args, reason):
     calls = []
     monkeypatch.setattr(cli.harness, "simulate", calls.append)
@@ -602,8 +612,14 @@ def command_lines(draw):
                 + draw(optional("--emit-positions", DESTINATIONS)))
     sweep = draw(values("n:2,8", "n:4", "n:1,2", "h:0.5,0.25", "h:0.02", "h", "h:",
                         "h:0.5,-1", "n:4,1.5", "q:1", ":", "n:2,0", "h:0.02,2", "h:0.5,nan"))
-    argv = [command, "--sweep", sweep, "--particles", draw(particles), "--step", draw(step),
+    # the flag of the fixed field; the swept field's flag, an error, in about one in ten
+    fixed, swept = ("--particles", particles), ("--step", step)
+    if not sweep.startswith("h"):
+        fixed, swept = swept, fixed
+    argv = [command, "--sweep", sweep, fixed[0], draw(fixed[1]),
             "--runs", draw(values("2", "3", "4", "6"))]
+    if draw(st.sampled_from([False] * 9 + [True])):
+        argv += [swept[0], draw(swept[1])]
     argv += draw(optional("--threads", values("1", "2")))
     if command == "weak":
         argv += draw(optional("--batches", values("2", "3")))

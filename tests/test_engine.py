@@ -247,7 +247,7 @@ def test_simulate_equals_chain_of_euler_steps(n, init, step, horizon, n_full, fl
     last = cfg.horizon - n_full * cfg.step
     if last > 1e-9:
         steps.append(last)
-    x = init.positions(n, make_generator(derive_seed(cfg.seed, 0)))
+    x = init.positions(n, cfg.seed)
     noise = standard_normals(make_generator(derive_seed(cfg.seed, 1)), (len(steps), n))
     drift = drift_table_unblocked(cfg.flux, n, cfg.scheme)
     for dt, z in zip(steps, noise):
@@ -309,6 +309,17 @@ def test_draw_schedule(n, step, horizon, draws, monkeypatch):
     n_full = int(np.floor(horizon / step + engine._STEP_SLACK))
     rows = max(1, engine._DRAW_BLOCK // n)
     assert len(calls) == -(-n_full // rows) + (horizon - n_full * step > 1e-9) == draws
+
+
+@pytest.mark.parametrize("init", [InitRule(), IID_GAUSS], ids=["optimal", "iid"])
+def test_generators_of_a_run(init, monkeypatch):
+    # the increment stream, and under the i.i.d. rule the initial one
+    seeds = []
+    monkeypatch.setattr(engine, "make_generator",
+                        lambda seed: seeds.append(seed) or make_generator(seed))
+    simulate(config(init=init, seed=9))
+    expected = [derive_seed(9, 1)] + ([derive_seed(9, 0)] if init.rule == IID else [])
+    assert sorted(seeds) == sorted(expected)
 
 
 def test_run_leaves_no_array_behind():
@@ -512,6 +523,9 @@ def test_config_validation():
         config(step=2.0)  # step > horizon
     with pytest.raises(ConfigError):
         config(horizon=np.inf)
+    for horizon in (-1.0, np.nan):  # the horizon is named, not the step against it
+        with pytest.raises(ConfigError, match="^horizon must be finite and > 0$"):
+            config(horizon=horizon)
     config(step=1.0 / MAX_STEPS)  # at the step-count ceiling: accepted, not run
     with pytest.raises(ConfigError):
         config(step=1e-300)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import burgers_cdf_unblocked, pde_residual
-from rankflow import BracketError, BurgersSolution, ConfigError, DomainError
+from rankflow import BurgersSolution, ConfigError, NumericalError
 
 SOL = BurgersSolution(np.sqrt(0.2))
 
@@ -78,9 +78,9 @@ def test_cdf_stable_for_extreme_arguments():
 
 
 def test_cdf_requires_positive_time():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="the closed form requires a finite t > 0"):
         SOL.cdf(0.0, 0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="the closed form requires a finite t > 0"):
         SOL.cdf(-1.0, 0.5)
 
 
@@ -117,16 +117,17 @@ def test_quantile_bracket_failure(monkeypatch):
     # a constant CDF can never straddle the target level
     monkeypatch.setattr(BurgersSolution, "cdf", lambda self, t, x: np.zeros_like(
         np.asarray(x, dtype=float)))
-    with pytest.raises(BracketError):
+    with pytest.raises(NumericalError, match=r"could not bracket the quantile at t = 1, "
+                       r"sigma\^2 = 0\.2 after 200 expansions"):
         SOL.quantile(1.0, 0.5)
 
 
 def test_quantile_domain_errors():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=r"quantile argument must lie strictly inside \(0, 1\)"):
         SOL.quantile(1.0, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=r"quantile argument must lie strictly inside \(0, 1\)"):
         SOL.quantile(1.0, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="the closed form requires a finite t > 0"):
         SOL.quantile(0.0, 0.5)
 
 
@@ -151,7 +152,7 @@ def test_pde_residual_second_order_in_delta():
 
 
 def test_pde_residual_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=r"need t > 2\*delta to center the time stencil"):
         pde_residual(SOL, 1e-4, 0.5, 1e-3)  # t too small for the stencil
     with pytest.raises(ConfigError):
         pde_residual(SOL, 1.0, 0.5, -1e-3)

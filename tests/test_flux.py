@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import flux_value, lipschitz_speed, max_speed, rank_coefficients
-from rankflow import ConfigError, DomainError, FluxFunction, parse_flux
+from rankflow import ConfigError, FluxFunction, parse_flux
 from rankflow.engine import _drift
 
 CUBIC = FluxFunction.polynomial((0.2, -0.4, 0.1, 1.0 / 3.0))  # derivative u^2 + 0.2u - 0.4
@@ -27,7 +27,7 @@ def test_quadratic_values():
 def test_domain_errors():
     f = FluxFunction.burgers()
     for bad in (-0.1, 1.1, np.array([0.2, 1.5])):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match=r"flux argument must lie in \[0, 1\]"):
             flux_value(f, bad)
 
 

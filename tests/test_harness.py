@@ -11,8 +11,7 @@ import rankflow.cli as cli
 import rankflow.harness as harness
 from rankflow import (BurgersSolution, ConfigError, FluxFunction, Gaussian, GridSpec,
                       InitRule, NumericalError, SimulationConfig, StudyRow, StudySpec,
-                      UnsupportedReferenceError, run_study, strong_error_point,
-                      weak_error_point)
+                      run_study, strong_error_point, weak_error_point)
 from rankflow import engine
 from rankflow.engine import IID
 from rankflow.metrics import phi_grid, psi_grid_free
@@ -287,7 +286,8 @@ def test_study_spec_validation():
         StudySpec("weak", cfg, "n", (4,), 4, batches=None)
     with pytest.raises(ConfigError):
         StudySpec("weak", cfg, "n", (4,), 4, batches=1)
-    with pytest.raises(UnsupportedReferenceError):
+    with pytest.raises(ConfigError, match="no exact reference solution for this flux: "
+                                          "only the Burgers flux has one"):
         StudySpec("strong", burgers_config(flux=FluxFunction.quadratic()), "n", (4,), 3)
     # every row is checked, not only the base: a weak row of no particles,
     # and a row whose step exceeds the horizon

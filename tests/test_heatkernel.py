@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import HeatKernel
-from rankflow import ConfigError, DomainError
+from rankflow import ConfigError
 
 PROBES_T = (0.1, 1.0, 4.0)
 PROBES_SIGMA = (0.5, 1.0, 2.0)
@@ -113,7 +113,7 @@ def test_validation():
     with pytest.raises(ConfigError):
         HeatKernel(0.0)
     kern = HeatKernel(1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="the kernel requires t > 0"):
         kern.g(0.0, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="the kernel requires t > 0"):
         kern.dg_dx(-1.0, 1.0)

@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import QuantileTable, cdf, init_w1_to_m, support, w_rho_empirical
-from rankflow import (ConfigError, DiracAtZero, DomainError, Gaussian, Uniform,
-                      iid_positions, optimal_positions, parse_distribution)
+from rankflow import (ConfigError, DiracAtZero, Gaussian, Uniform, iid_positions,
+                      optimal_positions, parse_distribution)
 from rankflow.stream import derive_seed, make_generator
 
 ALL_LAWS = [
@@ -81,7 +81,8 @@ def test_iid_quantile_table_hits_atoms():
 def test_quantile_domain_errors():
     for law in ALL_LAWS:
         for bad in (0.0, 1.0, -0.2, 1.3):
-            with pytest.raises(DomainError):
+            with pytest.raises(ConfigError,
+                               match=r"quantile argument must lie strictly inside \(0, 1\)"):
                 law.quantile(bad)
 
 
