@@ -36,7 +36,7 @@ import numpy as np
 from . import harness
 from .engine import (FRACTIONAL_RANK, IID, OPTIMAL, RANK_COEFFICIENT, InitRule,
                      SimulationConfig, simulate)
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, checked_count
 from .exact import BurgersSolution
 from .flux import parse_flux
 from .initial import parse_distribution
@@ -225,8 +225,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    if args.grid < 2:
-        raise ConfigError("--grid must be >= 2")
     if not 0.0 < args.horizon < np.inf:
         raise ConfigError("--horizon must be finite and > 0")
     solution = BurgersSolution(_sigma(args))
@@ -289,6 +287,8 @@ def _cmd_study(kind: str, args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if "grid" in args:  # exact and weak
+            checked_count("--grid", args.grid, 2)
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "exact":

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, checked_count
 from .flux import FluxFunction
 from .initial import DiracAtZero, InitialDistribution, iid_positions, optimal_positions
 from .stream import derive_seed, make_generator, standard_normals
@@ -91,7 +91,7 @@ class SimulationConfig:
     parameter of the limiting conservation law).  ``sigma = 0`` is accepted
     for the deterministic degenerate checks; the horizon need not be an
     integer multiple of the step, in which case a final shorter step covers
-    the remainder.
+    the remainder.  ``n_particles`` and ``seed`` are integers, stored as int.
     """
 
     n_particles: int
@@ -104,8 +104,7 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise ConfigError("n_particles must be >= 1")
+        object.__setattr__(self, "n_particles", checked_count("n_particles", self.n_particles, 1))
         if not 0.0 < self.horizon < np.inf:
             raise ConfigError("horizon must be finite and > 0")
         if not 0.0 < self.step <= self.horizon:
@@ -116,8 +115,7 @@ class SimulationConfig:
             raise ConfigError("sigma must be finite and >= 0")
         if self.scheme not in (RANK_COEFFICIENT, FRACTIONAL_RANK):
             raise ConfigError(f"unknown drift scheme {self.scheme!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must be a 64-bit unsigned integer")
+        object.__setattr__(self, "seed", checked_count("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)

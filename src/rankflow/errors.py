@@ -1,4 +1,4 @@
-"""The package's two exceptions, one per CLI exit code.
+"""The package's two exceptions, one per CLI exit code, and its one count check.
 
 ConfigError covers anything a caller got wrong: bad parameters, impossible
 study setups, an argument outside a function's domain, a flux with no exact
@@ -8,6 +8,8 @@ maps them to exit codes 2 and 3, and reports a path it cannot write as a
 ConfigError.  The package raises these and issues no warnings.
 """
 
+import operator
+
 
 class ConfigError(ValueError):
     """Invalid parameters or an invalid combination of them."""
@@ -15,3 +17,14 @@ class ConfigError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical procedure failed to reach its accuracy target."""
+
+
+def checked_count(name: str, value, least: int) -> int:
+    """``value`` as an int if it is an integer in ``[least, 2**64)``, else a ConfigError."""
+    try:
+        count = operator.index(value)  # no float passes, not even a whole one
+        if least <= count < 2**64:
+            return count
+    except TypeError:
+        pass
+    raise ConfigError(f"{name} must be an integer in [{least}, 2**64), got {value}")

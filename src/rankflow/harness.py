@@ -41,7 +41,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .engine import _BLOCK, _DRAW_BLOCK, SimulationConfig, simulate
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, checked_count
 from .exact import BurgersSolution
 from .metrics import GridSpec, empirical_cdf_at, phi_grid, psi_grid_free
 from .stream import derive_seed
@@ -121,13 +121,13 @@ class StudySpec:
     """One convergence table, checked whole before it runs.
 
     ``base`` carries the horizon, diffusion, flux (with an exact reference),
-    scheme, initialization and base seed.  ``threads`` bounds the worker
-    processes of the study's pool.  Derived: ``workers`` is the number of
-    runs that execute at once, ``threads`` bounded by the runs of a row
-    and the cores the process may use; ``configs[j]`` is ``base`` with the
-    swept field set to row j's value and seed ``derive_seed(base.seed, j)``
-    (``base.seed`` when paired); ``reference`` is the exact solution and
-    ``grid`` the weak reference grid.
+    scheme, initialization and base seed.  The counts ``threads``, ``runs``,
+    ``batches`` and ``grid_k``, and an n-sweep's values, are integers.
+    Derived: ``workers`` is the number of runs that execute at once,
+    ``threads`` bounded by the runs of a row and the cores the process may
+    use; ``configs[j]`` is ``base`` with the swept field set to row j's value
+    and seed ``derive_seed(base.seed, j)`` (``base.seed`` when paired);
+    ``reference`` is the exact solution and ``grid`` the weak reference grid.
     """
 
     kind: str
@@ -145,22 +145,20 @@ class StudySpec:
     grid: Optional[GridSpec] = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ConfigError(f"thread count must be >= 1, got {self.threads}")
+        object.__setattr__(self, "threads", checked_count("threads", self.threads, 1))
         if self.kind not in (STRONG, WEAK):
             raise ConfigError(f"unknown study kind {self.kind!r}")
         if self.sweep not in (SWEEP_N, SWEEP_H):
             raise ConfigError(f"unknown sweep parameter {self.sweep!r}")
         if not self.values:
             raise ConfigError("sweep needs at least one value")
-        if self.runs < 2:
-            raise ConfigError("need at least 2 runs")
+        object.__setattr__(self, "runs", checked_count("runs", self.runs, 2))
         object.__setattr__(self, "workers", min(self.threads, self.runs, _cores()))
         object.__setattr__(self, "reference", get_reference(self.base))
         weak = self.kind == WEAK
         if weak:
-            if self.batches is None or self.batches < 2:
-                raise ConfigError("weak study needs at least 2 batches")
+            object.__setattr__(self, "batches", checked_count("batches", self.batches, 2))
+            object.__setattr__(self, "grid_k", checked_count("grid_k", self.grid_k, 2))
             if self.runs % self.batches != 0:
                 raise ConfigError("batches must divide runs")
         object.__setattr__(self, "configs", tuple(
@@ -174,8 +172,6 @@ class StudySpec:
                 grid = GridSpec.from_quantile(
                     lambda u: self.reference.quantile(self.base.horizon, u), self.grid_k)
             except ConfigError:
-                if self.grid_k < 2:
-                    raise
                 raise ConfigError(f"the exact quantile at sigma^2 = {self.base.sigma ** 2:.6g} "
                                   f"cannot separate K = {self.grid_k} grid cells in double "
                                   "precision") from None
@@ -183,9 +179,9 @@ class StudySpec:
 
     def _row(self, j: int, value) -> SimulationConfig:
         seed = self.base.seed if self.paired_seeds else derive_seed(self.base.seed, j)
-        name, cast = ("n_particles", int) if self.sweep == SWEEP_N else ("step", float)
         try:
-            config = replace(self.base, seed=seed, **{name: cast(value)})
+            swept = {"n_particles": value} if self.sweep == SWEEP_N else {"step": float(value)}
+            config = replace(self.base, seed=seed, **swept)
         except (ValueError, OverflowError) as err:  # ConfigError is a ValueError
             raise ConfigError(f"sweep value {value}: {err}") from None
         if self.kind == STRONG and config.n_particles < 2:
@@ -309,11 +305,10 @@ def weak_error_point(spec: StudySpec, results: Iterator) -> tuple[float, float]:
     """
     runs, batches, grid = spec.runs, spec.batches, spec.grid
     per_batch = runs // batches
-    k = grid.k_points
+    k = grid.midpoint_quantiles.size
 
     batch_sums = np.zeros((batches, k))
-    total = np.zeros(k)
-    compensation = np.zeros(k)
+    total, compensation = np.zeros(k), np.zeros(k)
     # range first: zip stops without taking the next row's first result
     for r, vector in zip(range(runs), results):
         batch_sums[r // per_batch] += vector

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError
+from .errors import ConfigError, checked_count
 from .stream import open_uniforms
 
 
@@ -83,16 +83,14 @@ def optimal_positions(law: InitialDistribution, n: int) -> np.ndarray:
     cell, which minimizes the W1 distance of the empirical measure to the
     law.  The output is nondecreasing by monotonicity of the quantile.
     """
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    n = checked_count("n", n, 1)
     u = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
     return np.asarray(law.quantile(u), dtype=float)
 
 
 def iid_positions(law: InitialDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. samples by inverse transform of the seeded uniform stream."""
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    n = checked_count("n", n, 1)
     return np.asarray(law.quantile(open_uniforms(rng, n)), dtype=float)
 
 

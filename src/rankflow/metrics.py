@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, checked_count
 
 #: gaps per block of the grid-free sum: the estimate holds the sorted sample
 #: and three blocks of 32 KB whatever the sample size, so from N=70000 on it
@@ -101,19 +101,17 @@ class GridSpec:
 
     ``quantile_grid`` holds the cell edges (quantiles of k/K, k = 1..K-1)
     and ``midpoint_quantiles`` the evaluation abscissae (quantiles of
-    (2k+1)/(2K), k = 0..K-1).
+    (2k+1)/(2K), k = 0..K-1); K >= 2 is the integer count of midpoints.
     """
 
-    k_points: int
     quantile_grid: np.ndarray
     midpoint_quantiles: np.ndarray
 
     def __post_init__(self):
-        if self.k_points < 2:
-            raise ConfigError("need at least 2 grid cells")
         edges = np.asarray(self.quantile_grid, dtype=float)
         mids = np.asarray(self.midpoint_quantiles, dtype=float)
-        if edges.size != self.k_points - 1 or mids.size != self.k_points:
+        checked_count("K", mids.size, 2)
+        if edges.size != mids.size - 1:
             raise ConfigError("grid vectors must have lengths K-1 and K")
         if edges.size > 1 and np.any(np.diff(edges) <= 0.0):
             raise ConfigError("quantile grid must be strictly increasing")
@@ -124,11 +122,9 @@ class GridSpec:
 
     @classmethod
     def from_quantile(cls, quantile: Callable[[np.ndarray], np.ndarray], k_points: int) -> "GridSpec":
-        """Build the grid by evaluating a (vectorized) quantile function."""
-        k = int(k_points)
-        edges = np.asarray(quantile(np.arange(1, k) / k), dtype=float)
-        mids = np.asarray(quantile((2.0 * np.arange(k) + 1.0) / (2.0 * k)), dtype=float)
-        return cls(k, edges, mids)
+        """The grid of ``k_points`` cells (an integer >= 2) of a vectorized quantile."""
+        k = checked_count("K", k_points, 2)
+        return cls(quantile(np.arange(1, k) / k), quantile((2.0 * np.arange(k) + 1.0) / (2.0 * k)))
 
 
 def phi_grid(mean_cdf_values, grid: GridSpec) -> float:
@@ -139,16 +135,15 @@ def phi_grid(mean_cdf_values, grid: GridSpec) -> float:
     the outermost midpoint and the outermost edge.
     """
     u = np.asarray(mean_cdf_values, dtype=float)
-    k = grid.k_points
+    edges, mids = grid.quantile_grid, grid.midpoint_quantiles
+    k = mids.size
     if u.ndim != 1 or u.size != k:
         raise ConfigError("mean CDF vector must have length K")
     if np.any(u < 0.0) or np.any(u > 1.0):
         raise ConfigError("CDF values must lie in [0, 1]")
     targets = (2.0 * np.arange(k) + 1.0) / (2.0 * k)
     dev = np.abs(u - targets)
-    edges = grid.quantile_grid
-    mids = grid.midpoint_quantiles
-    interior = float(np.sum(dev[1:-1] * np.diff(edges))) if k > 2 else 0.0
+    interior = float(np.sum(dev[1:-1] * np.diff(edges)))
     left = 2.0 * dev[0] * (edges[0] - mids[0])
     right = 2.0 * dev[-1] * (mids[-1] - edges[-1])
     return interior + left + right

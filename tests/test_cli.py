@@ -311,20 +311,21 @@ def test_unwritable_out_fails_before_any_run(monkeypatch, capsys):
 
 @pytest.mark.parametrize("args, reason", [
     (["strong", "--sweep", "n:4", "--runs", "1", "--step", "0.5", "--out"],
-     "need at least 2 runs"),
+     "runs must be an integer in [2, 2**64), got 1"),
     (["strong", "--sweep", "n:4", "--runs", "2", "--flux", "quadratic", "--out"],
      "no exact reference solution for this flux: only the Burgers flux has one"),
     (["weak", "--sweep", "n:4", "--runs", "4", "--batches", "3", "--out"],
      "batches must divide runs"),
     (["strong", "--sweep", "n:4", "--runs", "2", "--threads", "0", "--out"],
-     "thread count must be >= 1, got 0"),
+     "threads must be an integer in [1, 2**64), got 0"),
     (["exact", "--horizon", "inf", "--out"], "--horizon must be finite and > 0"),
-    (["exact", "--grid", "1", "--out"], "--grid must be >= 2"),
+    (["exact", "--grid", "1", "--out"], "--grid must be an integer in [2, 2**64), got 1"),
     (["simulate", "--particles", "0", "--step", "0.5", "--emit-positions"],
-     "n_particles must be >= 1"),
+     "n_particles must be an integer in [1, 2**64), got 0"),
     # a bad row after a good one, and the weak reference grid, fail before any run
     (["weak", "--sweep", "n:4,0", "--step", "0.5", "--runs", "4", "--batches", "2",
-      "--grid", "8", "--out"], "sweep value 0: n_particles must be >= 1"),
+      "--grid", "8", "--out"],
+     "sweep value 0: n_particles must be an integer in [1, 2**64), got 0"),
     (["strong", "--sweep", "h:0.5,2", "--particles", "4", "--runs", "2", "--out"],
      "sweep value 2.0: need 0 < step <= horizon"),
     (["strong", "--sweep", "h:0.5,nan", "--particles", "4", "--runs", "2", "--out"],
@@ -333,6 +334,9 @@ def test_unwritable_out_fails_before_any_run(monkeypatch, capsys):
       "--sigma2", "1e-30", "--out"],
      "the exact quantile at sigma^2 = 1e-30 cannot separate K = 8 grid cells in double "
      "precision"),
+    # both subcommands with a grid name the flag
+    (["weak", "--sweep", "n:4", "--step", "0.5", "--runs", "4", "--batches", "2", "--grid", "1",
+      "--out"], "--grid must be an integer in [2, 2**64), got 1"),
     # the flag of the swept field, which the sweep would override
     (["strong", "--sweep", "n:8", "--step", "0.5", "--runs", "4", "--particles", "5",
       "--out"], "--particles cannot be set on an n-sweep: the sweep sets N"),
@@ -344,7 +348,7 @@ def test_unwritable_out_fails_before_any_run(monkeypatch, capsys):
       "--out"], "horizon must be finite and > 0"),
 ], ids=["runs", "no-reference", "batches", "threads", "horizon", "grid", "particles",
         "weak-row-of-no-particles", "step-above-horizon", "nan-step", "weak-grid",
-        "particles-on-n-sweep", "step-on-h-sweep", "h-sweep-horizon"])
+        "weak-grid-cells", "particles-on-n-sweep", "step-on-h-sweep", "h-sweep-horizon"])
 def test_bad_flag_touches_no_file(tmp_path, capsys, monkeypatch, args, reason):
     calls = []
     monkeypatch.setattr(cli.harness, "simulate", calls.append)
@@ -373,7 +377,7 @@ def test_bad_thread_count_builds_no_study(monkeypatch, capsys):
     monkeypatch.setattr(cli.harness.GridSpec, "from_quantile", lambda *args: built.append(args))
     assert run_cli(["weak", "--sweep", "n:10", "--step", "0.5", "--runs", "4", "--batches",
                     "2", "--grid", "1000000", "--threads", "0"]) == 2
-    assert capsys.readouterr().err == "rankflow: thread count must be >= 1, got 0\n"
+    assert capsys.readouterr().err == "rankflow: threads must be an integer in [1, 2**64), got 0\n"
     assert built == []
 
 

@@ -535,6 +535,14 @@ def test_config_validation():
         config(scheme="bogus")
     with pytest.raises(ConfigError):
         config(seed=-1)
+    # a count is an integer: a fraction is refused, never truncated or rounded
+    for field, value in (("n_particles", 3.7), ("n_particles", 100.5), ("seed", 1.5)):
+        with pytest.raises(ConfigError, match=rf"^{field} must be an integer in \[\d, "
+                                              rf"2\*\*64\), got {value}$"):
+            config(**{field: value})
+    accepted = config(n_particles=np.int64(5), seed=np.uint64(2**64 - 1))
+    assert (type(accepted.n_particles), accepted.n_particles) == (int, 5)
+    assert (type(accepted.seed), accepted.seed) == (int, 2**64 - 1)
 
 
 def test_overflow_at_packed_size_raises_numerical_error():

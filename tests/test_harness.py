@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -291,10 +292,28 @@ def test_study_spec_validation():
         StudySpec("strong", burgers_config(flux=FluxFunction.quadratic()), "n", (4,), 3)
     # every row is checked, not only the base: a weak row of no particles,
     # and a row whose step exceeds the horizon
-    with pytest.raises(ConfigError, match="sweep value 0: n_particles must be >= 1"):
+    with pytest.raises(ConfigError, match=r"sweep value 0: n_particles must be an integer "
+                                          r"in \[1, 2\*\*64\), got 0"):
         StudySpec("weak", cfg, "n", (4, 0), 4, batches=2, grid_k=8)
     with pytest.raises(ConfigError, match=r"sweep value 2: need 0 < step <= horizon"):
         StudySpec("strong", cfg, "h", (0.5, 2), 3)
+    with pytest.raises(ConfigError, match="int too large to convert to float"):
+        StudySpec("strong", cfg, "h", (10**400,), 3)  # float() of this h overflows
+    # a count is an integer: a fraction is refused before anything runs, never truncated
+    for message, kind, values, kw in [
+            ("runs must be an integer in [2, 2**64), got 3.5", "strong", (4,), dict(runs=3.5)),
+            ("batches must be an integer in [2, 2**64), got 2.0", "weak", (4,),
+             dict(runs=4, batches=2.0)),
+            ("grid_k must be an integer in [2, 2**64), got 8.9", "weak", (4,),
+             dict(runs=4, batches=2, grid_k=8.9)),
+            ("sweep value 8.9: n_particles must be an integer in [1, 2**64), got 8.9", "strong",
+             (4, 8.9), dict(runs=3))]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            StudySpec(kind, cfg, "n", values, **kw)
+    spec = StudySpec("weak", cfg, "n", (np.int64(4),), np.int64(4), batches=np.int64(2),
+                     grid_k=np.int64(8))
+    assert [type(v) for v in (spec.runs, spec.batches, spec.grid_k, spec.configs[0].n_particles)
+            ] == [int] * 4
 
 
 def traced_peak(work) -> int:

@@ -218,7 +218,7 @@ def test_estimators_reject_what_is_not_a_sample(estimate, sample):
 # -- grid spec and grid estimator ----------------------------------------------
 
 def uniform_grid(k):
-    return GridSpec(k, np.arange(1, k) / k, (2.0 * np.arange(k) + 1.0) / (2.0 * k))
+    return GridSpec(np.arange(1, k) / k, (2.0 * np.arange(k) + 1.0) / (2.0 * k))
 
 
 def test_grid_spec_from_quantile():
@@ -229,11 +229,11 @@ def test_grid_spec_from_quantile():
 
 def test_grid_spec_validation():
     with pytest.raises(ConfigError):
-        GridSpec(3, np.array([0.5, 0.4]), np.array([0.1, 0.5, 0.9]))
+        GridSpec(np.array([0.5, 0.4]), np.array([0.1, 0.5, 0.9]))
     with pytest.raises(ConfigError):
-        GridSpec(3, np.array([0.4]), np.array([0.1, 0.5, 0.9]))
-    with pytest.raises(ConfigError):
-        GridSpec(1, np.array([]), np.array([0.5]))
+        GridSpec(np.array([0.4]), np.array([0.1, 0.5, 0.9]))
+    with pytest.raises(ConfigError, match=r"^K must be an integer in \[2, 2\*\*64\), got 1$"):
+        GridSpec(np.array([]), np.array([0.5]))
 
 
 def test_phi_zero_when_values_hit_targets():
@@ -248,13 +248,14 @@ def test_phi_hand_value_k3():
 
 
 def test_phi_boundary_perturbation_is_doubled():
-    k, eps = 10, 0.013
-    grid = uniform_grid(k)
-    targets = (2.0 * np.arange(k) + 1.0) / (2.0 * k)
-    bumped = targets.copy()
-    bumped[0] += eps
-    expected = 2.0 * eps * (grid.quantile_grid[0] - grid.midpoint_quantiles[0])
-    assert phi_grid(bumped, grid) == pytest.approx(expected, abs=1e-15)
+    eps = 0.013
+    for k in (2, 10):  # at K=2 both cells are boundary cells: no interior sum
+        grid = uniform_grid(k)
+        targets = (2.0 * np.arange(k) + 1.0) / (2.0 * k)
+        bumped = targets.copy()
+        bumped[0] += eps
+        expected = 2.0 * eps * (grid.quantile_grid[0] - grid.midpoint_quantiles[0])
+        assert phi_grid(bumped, grid) == pytest.approx(expected, abs=1e-15)
 
 
 def test_phi_validation():
