@@ -36,7 +36,7 @@ import numpy as np
 from . import harness
 from .engine import (FRACTIONAL_RANK, IID, OPTIMAL, RANK_COEFFICIENT, InitRule,
                      SimulationConfig, simulate)
-from .errors import ConfigError, NumericalError, checked_count
+from .errors import ConfigError, NumericalError, checked_count, checked_real
 from .exact import BurgersSolution
 from .flux import parse_flux
 from .initial import parse_distribution
@@ -149,19 +149,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sigma(args) -> float:
-    if not 0.0 < args.sigma2 < np.inf:
-        raise ConfigError("--sigma2 must be finite and > 0")
-    return float(np.sqrt(args.sigma2))
-
-
 def _config(args, particles: int, step: float) -> SimulationConfig:
     """The run the model flags describe, with N particles and Euler step h."""
     return SimulationConfig(
         n_particles=particles,
         step=step,
         horizon=args.horizon,
-        sigma=_sigma(args),
+        sigma=np.sqrt(args.sigma2),
         flux=parse_flux(args.flux),
         scheme=args.scheme,
         init=InitRule(args.init, parse_distribution(args.dist)),
@@ -225,13 +219,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    if not 0.0 < args.horizon < np.inf:
-        raise ConfigError("--horizon must be finite and > 0")
-    solution = BurgersSolution(_sigma(args))
     harness.check_memory(cells=args.grid)
     with _output(args.out) as write:
         levels = np.arange(1, args.grid) / args.grid
-        quantiles = solution.quantile(args.horizon, levels)
+        quantiles = BurgersSolution(np.sqrt(args.sigma2)).quantile(args.horizon, levels)
         write(["u,quantile"])
         write(f"{u:.8g},{q:.8g}" for u, q in zip(levels, quantiles))
     return 0
@@ -287,6 +278,8 @@ def _cmd_study(kind: str, args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        checked_real("--horizon", args.horizon, 0.0)
+        checked_real("--sigma2", args.sigma2, 0.0)
         if "grid" in args:  # exact and weak
             checked_count("--grid", args.grid, 2)
         if args.command == "simulate":

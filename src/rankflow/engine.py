@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConfigError, NumericalError, checked_count
+from .errors import ConfigError, NumericalError, checked_count, checked_real
 from .flux import FluxFunction
 from .initial import DiracAtZero, InitialDistribution, iid_positions, optimal_positions
 from .stream import derive_seed, make_generator, standard_normals
@@ -88,10 +88,9 @@ class SimulationConfig:
     """Full specification of one particle-system run.
 
     ``sigma`` is the diffusion coefficient (so ``sigma**2`` is the viscosity
-    parameter of the limiting conservation law).  ``sigma = 0`` is accepted
-    for the deterministic degenerate checks; the horizon need not be an
-    integer multiple of the step, in which case a final shorter step covers
-    the remainder.  ``n_particles`` and ``seed`` are integers, stored as int.
+    parameter of the limiting conservation law); ``sigma = 0`` is accepted for
+    the deterministic degenerate checks.  A final shorter step covers a horizon
+    that is not a multiple of the step.  Counts are stored as int, reals as float.
     """
 
     n_particles: int
@@ -105,14 +104,15 @@ class SimulationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_particles", checked_count("n_particles", self.n_particles, 1))
-        if not 0.0 < self.horizon < np.inf:
-            raise ConfigError("horizon must be finite and > 0")
-        if not 0.0 < self.step <= self.horizon:
+        object.__setattr__(self, "horizon", checked_real("horizon", self.horizon, 0.0))
+        object.__setattr__(self, "step", checked_real("step", self.step, 0.0))
+        if self.step > self.horizon:
             raise ConfigError("need 0 < step <= horizon")
         if self.horizon / self.step > MAX_STEPS:
             raise ConfigError(f"horizon/step exceeds {MAX_STEPS:.0e} Euler steps")
-        if self.sigma < 0.0 or not np.isfinite(self.sigma):
-            raise ConfigError("sigma must be finite and >= 0")
+        object.__setattr__(self, "sigma", checked_real("sigma", self.sigma, -np.inf))
+        if self.sigma < 0.0:
+            raise ConfigError(f"sigma must be a real number in [0, inf), got {self.sigma}")
         if self.scheme not in (RANK_COEFFICIENT, FRACTIONAL_RANK):
             raise ConfigError(f"unknown drift scheme {self.scheme!r}")
         object.__setattr__(self, "seed", checked_count("seed", self.seed, 0))

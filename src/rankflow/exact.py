@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_ndtr
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, checked_real
 
 _BISECTION_ROUNDS = 200
 _BRACKET_EXPANSIONS = 200
@@ -30,13 +30,12 @@ _BRACKET_EXPANSIONS = 200
 
 @dataclass(frozen=True)
 class BurgersSolution:
-    """Exact CDF/quantile of the Burgers conservation law at viscosity sigma^2."""
+    """Exact CDF/quantile of the Burgers law at viscosity sigma^2, sigma stored as float."""
 
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0 or not np.isfinite(self.sigma):
-            raise ConfigError("sigma must be finite and > 0")
+        object.__setattr__(self, "sigma", checked_real("sigma", self.sigma, 0.0))
 
     def cdf(self, t: float, x):
         """F(t, x) for finite t > 0; vectorized in x, nondecreasing, in [0, 1].
@@ -44,8 +43,7 @@ class BurgersSolution:
         The t = 0 profile is the unit step at the origin and is not
         representable by the closed form; query the Dirac initial law for it.
         """
-        if not 0.0 < t < np.inf:
-            raise ConfigError("the closed form requires a finite t > 0")
+        t = checked_real("t", t, 0.0)
         x = np.asarray(x, dtype=float)
         scale = self.sigma * np.sqrt(t)
         # g in place, in the operation order of the formula in the module
@@ -73,8 +71,7 @@ class BurgersSolution:
         moves the CDF by more than any fixed tolerance), so the result x has
         cdf(t, x - d) <= u <= cdf(t, x + d) with d = 4 eps max(1, |x|).
         """
-        if not 0.0 < t < np.inf:
-            raise ConfigError("the closed form requires a finite t > 0")
+        t = checked_real("t", t, 0.0)
         uu = np.asarray(u, dtype=float)
         if np.any(uu <= 0.0) or np.any(uu >= 1.0):
             raise ConfigError("quantile argument must lie strictly inside (0, 1)")

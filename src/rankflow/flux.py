@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConfigError
+from .errors import ConfigError, checked_real
 
 #: monomial coefficients of the Burgers flux -(1-u)^2 / 2
 _BURGERS_COEFFICIENTS = (-0.5, 1.0, -0.5)
@@ -25,8 +25,8 @@ class FluxFunction:
     ``coefficients`` are the monomial coefficients of the flux in ascending
     degree, and the flux's only stored value; the derivative coefficients
     are obtained symbolically so the derivative is exact, not a finite
-    difference.  ``is_burgers`` is derived from them.  Trailing zero coefficients
-    are dropped (one is kept), so every spelling of a polynomial is one flux.
+    difference.  ``is_burgers`` is derived from them.  They are stored as floats,
+    without trailing zeros (one is kept), so every spelling of a polynomial is one flux.
     """
 
     coefficients: tuple[float, ...]
@@ -34,9 +34,7 @@ class FluxFunction:
     def __post_init__(self):
         if not self.coefficients:
             raise ConfigError("flux needs at least one coefficient")
-        if not all(np.isfinite(self.coefficients)):
-            raise ConfigError("flux coefficients must be finite")
-        coefficients = tuple(self.coefficients)
+        coefficients = tuple(checked_real("coefficient", c, -np.inf) for c in self.coefficients)
         while len(coefficients) > 1 and coefficients[-1] == 0.0:
             coefficients = coefficients[:-1]
         object.__setattr__(self, "coefficients", coefficients)
@@ -55,7 +53,7 @@ class FluxFunction:
 
     @classmethod
     def polynomial(cls, coefficients) -> "FluxFunction":
-        return cls(tuple(float(c) for c in coefficients))
+        return cls(tuple(coefficients))
 
     # -- derived values ----------------------------------------------------
 

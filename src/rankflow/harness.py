@@ -74,6 +74,12 @@ _BYTES_PER_CELL = 72
 #: the parent's memory whatever the run count
 _IN_FLIGHT_PER_WORKER = 4
 
+#: K-value vectors a pool worker of a weak study holds besides the results
+#: in flight for it: its midpoints, its result and their pickles, 5.0 to 6.6
+#: under smaps_rollup at K=10**6 and 2*10**6, and the parent's unpickling
+#: of a result, about one, rounded up
+_VECTORS_PER_WORKER = 8
+
 
 def _physical_memory() -> Optional[int]:
     """Bytes of physical memory of the host, None where it cannot be read."""
@@ -91,7 +97,8 @@ def check_memory(*, particles: int = 0, workers: int = 1, cells: int = 0,
     Called once per command, before anything is allocated.  The need is
     ``workers`` runs of ``particles`` each, with their fixed-size buffers,
     the bisection of ``cells`` exact quantiles, ``batches`` running sums of
-    ``cells`` values and the ``results`` a strong row keeps, one per run.
+    ``cells`` values and ``results`` values held at once: a strong row's, one
+    per run, or the K-value vectors of a weak study's pool.
     The limit is only read, never set.
     """
     run = particles * _BYTES_PER_PARTICLE + _BYTES_PER_RUN if particles else 0
@@ -163,10 +170,13 @@ class StudySpec:
                 raise ConfigError("batches must divide runs")
         object.__setattr__(self, "configs", tuple(
             self._row(j, value) for j, value in enumerate(self.values)))
-        # a weak row folds its runs into the batch sums, a strong row keeps them all
+        # a weak row folds its runs into the batch sums, a strong row keeps them all;
+        # a pool's weak results are K-value vectors, in flight and in each worker
+        held = _IN_FLIGHT_PER_WORKER + _VECTORS_PER_WORKER if self.workers > 1 else 0
         check_memory(particles=max(c.n_particles for c in self.configs),
                      workers=self.workers, cells=self.grid_k if weak else 0,
-                     batches=self.batches if weak else 0, results=0 if weak else self.runs)
+                     batches=self.batches if weak else 0,
+                     results=self.workers * held * self.grid_k if weak else self.runs)
         if weak:
             try:
                 grid = GridSpec.from_quantile(
@@ -180,9 +190,9 @@ class StudySpec:
     def _row(self, j: int, value) -> SimulationConfig:
         seed = self.base.seed if self.paired_seeds else derive_seed(self.base.seed, j)
         try:
-            swept = {"n_particles": value} if self.sweep == SWEEP_N else {"step": float(value)}
+            swept = {"n_particles": value} if self.sweep == SWEEP_N else {"step": value}
             config = replace(self.base, seed=seed, **swept)
-        except (ValueError, OverflowError) as err:  # ConfigError is a ValueError
+        except ConfigError as err:
             raise ConfigError(f"sweep value {value}: {err}") from None
         if self.kind == STRONG and config.n_particles < 2:
             raise ConfigError(f"sweep value {value}: a strong study needs at least 2 particles")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError, checked_count
+from .errors import ConfigError, checked_count, checked_real
 from .stream import open_uniforms
 
 
@@ -45,12 +45,13 @@ class DiracAtZero(InitialDistribution):
 
 @dataclass(frozen=True)
 class Uniform(InitialDistribution):
+    """The uniform law on [lower, upper]; both are reals, stored as float."""
     lower: float
     upper: float
 
     def __post_init__(self):
-        if not -np.inf < self.lower < self.upper < np.inf:
-            raise ConfigError("uniform law needs finite lower < upper")
+        object.__setattr__(self, "lower", checked_real("lower", self.lower, -np.inf))
+        object.__setattr__(self, "upper", checked_real("upper", self.upper, self.lower))
 
     def _quantile(self, u):
         x = u * (self.upper - self.lower)
@@ -60,12 +61,13 @@ class Uniform(InitialDistribution):
 
 @dataclass(frozen=True)
 class Gaussian(InitialDistribution):
+    """The normal law of ``mean`` and ``stddev``; both are reals, stored as float."""
     mean: float
     stddev: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mean) and 0.0 < self.stddev < np.inf):
-            raise ConfigError("gaussian law needs a finite mean and a finite stddev > 0")
+        object.__setattr__(self, "mean", checked_real("mean", self.mean, -np.inf))
+        object.__setattr__(self, "stddev", checked_real("stddev", self.stddev, 0.0))
 
     def _quantile(self, u):
         x = ndtri(u)

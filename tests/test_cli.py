@@ -160,7 +160,7 @@ def test_bad_flux_is_config_error(capsys):
 
 
 @pytest.mark.parametrize("spec, reason", [
-    ("uniform:3,-1", "uniform law needs finite lower < upper"),
+    ("uniform:3,-1", "upper must be a real number in (3, inf), got -1.0"),
     ("uniform:1", "bad distribution spec 'uniform:1'"),
     ("gauss:a,b", "bad distribution spec 'gauss:a,b'"),
 ], ids=["law-reason", "too-few-values", "not-a-number"])
@@ -318,7 +318,8 @@ def test_unwritable_out_fails_before_any_run(monkeypatch, capsys):
      "batches must divide runs"),
     (["strong", "--sweep", "n:4", "--runs", "2", "--threads", "0", "--out"],
      "threads must be an integer in [1, 2**64), got 0"),
-    (["exact", "--horizon", "inf", "--out"], "--horizon must be finite and > 0"),
+    (["exact", "--horizon", "inf", "--out"],
+     "--horizon must be a real number in (0, inf), got inf"),
     (["exact", "--grid", "1", "--out"], "--grid must be an integer in [2, 2**64), got 1"),
     (["simulate", "--particles", "0", "--step", "0.5", "--emit-positions"],
      "n_particles must be an integer in [1, 2**64), got 0"),
@@ -329,7 +330,7 @@ def test_unwritable_out_fails_before_any_run(monkeypatch, capsys):
     (["strong", "--sweep", "h:0.5,2", "--particles", "4", "--runs", "2", "--out"],
      "sweep value 2.0: need 0 < step <= horizon"),
     (["strong", "--sweep", "h:0.5,nan", "--particles", "4", "--runs", "2", "--out"],
-     "sweep value nan: need 0 < step <= horizon"),
+     "sweep value nan: step must be a real number in (0, inf), got nan"),
     (["weak", "--sweep", "n:4", "--step", "0.5", "--runs", "2", "--grid", "8",
       "--sigma2", "1e-30", "--out"],
      "the exact quantile at sigma^2 = 1e-30 cannot separate K = 8 grid cells in double "
@@ -343,12 +344,20 @@ def test_unwritable_out_fails_before_any_run(monkeypatch, capsys):
     (["weak", "--sweep", "h:0.5", "--particles", "8", "--runs", "4", "--batches", "2",
       "--grid", "10", "--step", "0.1", "--out"],
      "--step cannot be set on an h-sweep: the sweep sets h"),
-    # the horizon is named, not the step an h-sweep never got
+    # the horizon is named as the flag, by every subcommand alike, and not as the
+    # step an h-sweep never got
     (["strong", "--sweep", "h:0.5", "--particles", "4", "--runs", "2", "--horizon", "-1",
-      "--out"], "horizon must be finite and > 0"),
+      "--out"], "--horizon must be a real number in (0, inf), got -1.0"),
+    (["simulate", "--particles", "4", "--step", "0.5", "--horizon", "-1", "--emit-positions"],
+     "--horizon must be a real number in (0, inf), got -1.0"),
+    (["weak", "--sweep", "n:4", "--step", "0.5", "--runs", "4", "--batches", "2", "--grid", "8",
+      "--horizon", "-1", "--out"], "--horizon must be a real number in (0, inf), got -1.0"),
+    (["exact", "--horizon", "-1", "--out"],
+     "--horizon must be a real number in (0, inf), got -1.0"),
 ], ids=["runs", "no-reference", "batches", "threads", "horizon", "grid", "particles",
         "weak-row-of-no-particles", "step-above-horizon", "nan-step", "weak-grid",
-        "weak-grid-cells", "particles-on-n-sweep", "step-on-h-sweep", "h-sweep-horizon"])
+        "weak-grid-cells", "particles-on-n-sweep", "step-on-h-sweep", "h-sweep-horizon",
+        "simulate-horizon", "weak-horizon", "exact-horizon"])
 def test_bad_flag_touches_no_file(tmp_path, capsys, monkeypatch, args, reason):
     calls = []
     monkeypatch.setattr(cli.harness, "simulate", calls.append)

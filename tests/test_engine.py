@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -523,14 +524,24 @@ def test_config_validation():
         config(step=2.0)  # step > horizon
     with pytest.raises(ConfigError):
         config(horizon=np.inf)
-    for horizon in (-1.0, np.nan):  # the horizon is named, not the step against it
-        with pytest.raises(ConfigError, match="^horizon must be finite and > 0$"):
-            config(horizon=horizon)
     config(step=1.0 / MAX_STEPS)  # at the step-count ceiling: accepted, not run
     with pytest.raises(ConfigError):
         config(step=1e-300)
-    with pytest.raises(ConfigError):
-        config(sigma=-1.0)
+    # a real is checked as a float and named with its value: the horizon before the
+    # step against it; a string, None or an int beyond the float range is refused
+    for field, value, interval in (
+            ("horizon", -1.0, "(0, inf)"), ("horizon", np.nan, "(0, inf)"),
+            ("horizon", 10**400, "(0, inf)"), ("step", "0.5", "(0, inf)"),
+            ("step", np.nan, "(0, inf)"), ("sigma", -1.0, "[0, inf)"),
+            ("sigma", None, "(-inf, inf)"), ("sigma", 10**400, "(-inf, inf)")):
+        message = f"{field} must be a real number in {interval}, got {value}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config(**{field: value})
+    # a float32 step and sigma are stored as the floats they equal, and run with their bits
+    narrow = config(n_particles=8, step=np.float32(0.3), sigma=np.float32(0.4))
+    wide = config(n_particles=8, step=float(np.float32(0.3)), sigma=float(np.float32(0.4)))
+    assert (type(narrow.step), type(narrow.sigma), narrow) == (float, float, wide)
+    np.testing.assert_array_equal(simulate(narrow).positions, simulate(wide).positions)
     with pytest.raises(ConfigError):
         config(scheme="bogus")
     with pytest.raises(ConfigError):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -77,11 +78,16 @@ def test_cdf_stable_for_extreme_arguments():
         assert np.all((values >= 0.0) & (values <= 1.0))
 
 
+def real_error(name, value, interval="(0, inf)"):
+    """The ConfigError of a real ``name`` given as ``value``, outside ``interval``."""
+    message = f"{name} must be a real number in {interval}, got {value}"
+    return pytest.raises(ConfigError, match=f"^{re.escape(message)}$")
+
+
 def test_cdf_requires_positive_time():
-    with pytest.raises(ConfigError, match="the closed form requires a finite t > 0"):
-        SOL.cdf(0.0, 0.5)
-    with pytest.raises(ConfigError, match="the closed form requires a finite t > 0"):
-        SOL.cdf(-1.0, 0.5)
+    for t in (0.0, -1.0, np.inf, np.nan, 10**400, "1.0", None):
+        with real_error("t", t):
+            SOL.cdf(t, 0.5)
 
 
 def test_quantile_median():
@@ -127,8 +133,9 @@ def test_quantile_domain_errors():
         SOL.quantile(1.0, 0.0)
     with pytest.raises(ConfigError, match=r"quantile argument must lie strictly inside \(0, 1\)"):
         SOL.quantile(1.0, 1.0)
-    with pytest.raises(ConfigError, match="the closed form requires a finite t > 0"):
-        SOL.quantile(0.0, 0.5)
+    for t in (0.0, 10**400):
+        with real_error("t", t):
+            SOL.quantile(t, 0.5)
 
 
 def test_pde_residual_small():
@@ -159,7 +166,11 @@ def test_pde_residual_validation():
 
 
 def test_constructor_validation():
-    with pytest.raises(ConfigError):
-        BurgersSolution(0.0)
-    with pytest.raises(ConfigError):
-        BurgersSolution(-1.0)
+    for sigma in (0.0, -1.0, np.inf, 10**400, "0.4"):
+        with real_error("sigma", sigma):
+            BurgersSolution(sigma)
+    # a float32 sigma is stored as the float it equals, and gives that float's bits
+    narrow, wide = BurgersSolution(np.float32(0.4)), BurgersSolution(float(np.float32(0.4)))
+    assert (type(narrow.sigma), narrow) == (float, wide)
+    xs = np.linspace(-1.0, 2.0, 301)
+    np.testing.assert_array_equal(narrow.cdf(1.0, xs), wide.cdf(1.0, xs))

@@ -117,7 +117,11 @@ def test_parse_flux():
 def test_invalid_construction():
     assert FluxFunction.polynomial((-0.5, 1.0, -0.5)) == FluxFunction.burgers()
     assert FluxFunction.polynomial((-0.5, 1.0, -0.5)).is_burgers
+    assert FluxFunction.polynomial(np.array([-0.5, 1.0, -0.5])).is_burgers  # any iterable
     with pytest.raises(ConfigError):
         FluxFunction.polynomial(())
-    with pytest.raises(ConfigError):
-        FluxFunction.polynomial((np.inf,))
+    for value in (np.inf, np.nan, 10**400, None):
+        with pytest.raises(ConfigError,
+                           match=rf"^coefficient must be a real number in \(-inf, inf\), "
+                                 rf"got {value}$"):
+            FluxFunction.polynomial((0.0, value))

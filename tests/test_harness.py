@@ -297,8 +297,12 @@ def test_study_spec_validation():
         StudySpec("weak", cfg, "n", (4, 0), 4, batches=2, grid_k=8)
     with pytest.raises(ConfigError, match=r"sweep value 2: need 0 < step <= horizon"):
         StudySpec("strong", cfg, "h", (0.5, 2), 3)
-    with pytest.raises(ConfigError, match="int too large to convert to float"):
-        StudySpec("strong", cfg, "h", (10**400,), 3)  # float() of this h overflows
+    # a real sweep value is checked as the step it sets: no string, no int beyond the
+    # float range, each named with its value
+    for h in (10**400, "0.5", np.nan):
+        message = f"sweep value {h}: step must be a real number in (0, inf), got {h}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            StudySpec("strong", cfg, "h", (0.5, h), 3)
     # a count is an integer: a fraction is refused before anything runs, never truncated
     for message, kind, values, kw in [
             ("runs must be an integer in [2, 2**64), got 3.5", "strong", (4,), dict(runs=3.5)),
@@ -358,8 +362,9 @@ def test_study_spec_checks_memory_before_the_grid(monkeypatch, cores, workers):
         raise AssertionError("the weak grid is built")
 
     monkeypatch.setattr(GridSpec, "from_quantile", build_grid)
+    held = harness._IN_FLIGHT_PER_WORKER + harness._VECTORS_PER_WORKER if workers > 1 else 0
     need = (workers * (1000 * harness._BYTES_PER_PARTICLE + harness._BYTES_PER_RUN)
-            + 300 * (harness._BYTES_PER_CELL + 8 * 2))
+            + 300 * (harness._BYTES_PER_CELL + 8 * 2) + 8 * workers * held * 300)
     monkeypatch.setattr(harness, "_physical_memory", lambda: need - 1)
     with pytest.raises(ConfigError, match=r"MiB of memory, more than the \d MiB of physical"):
         StudySpec("weak", burgers_config(), "n", (4, 1000), 4, batches=2, grid_k=300, threads=8)
@@ -377,6 +382,21 @@ def test_study_spec_counts_the_runs_its_threads_start(monkeypatch):
     assert StudySpec("strong", burgers_config(), "n", (1000,), 2).workers == 1
     with pytest.raises(ConfigError, match="MiB of memory, more than the"):
         StudySpec("strong", burgers_config(), "n", (1000,), 2, threads=2)
+
+
+def test_weak_spec_counts_the_vectors_of_its_pool(monkeypatch):
+    # with a pool the parent holds K-value results in flight and each worker its
+    # own vectors: memory that fits two runs of the step kernel, but not the
+    # vectors of two workers, takes one thread and refuses two
+    monkeypatch.setattr(harness, "_cores", lambda: 2)
+    k = 10**5
+    run = 4 * harness._BYTES_PER_PARTICLE + harness._BYTES_PER_RUN
+    monkeypatch.setattr(harness, "_physical_memory",
+                        lambda: 2 * run + k * (harness._BYTES_PER_CELL + 8 * 2))
+    monkeypatch.setattr(GridSpec, "from_quantile", lambda *args: None)
+    assert StudySpec("weak", burgers_config(), "n", (4,), 4, batches=2, grid_k=k).workers == 1
+    with pytest.raises(ConfigError, match="MiB of memory, more than the"):
+        StudySpec("weak", burgers_config(), "n", (4,), 4, batches=2, grid_k=k, threads=2)
 
 
 def test_strong_spec_counts_its_runs(monkeypatch):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -209,19 +210,26 @@ def test_quantile_table_validation():
         QuantileTable((), ())
 
 
-@pytest.mark.parametrize("make", [
-    lambda: Uniform(0.0, np.inf),
-    lambda: Uniform(-np.inf, 0.0),
-    lambda: Uniform(np.nan, 1.0),
-    lambda: Gaussian(np.nan, 1.0),
-    lambda: Gaussian(0.0, np.inf),
-    lambda: QuantileTable((0.0, np.inf), (0.5, 0.5)),
-    lambda: QuantileTable((np.nan, 1.0), (0.5, 0.5)),
-    lambda: QuantileTable((0.0, 1.0), (np.nan, np.nan)),
+@pytest.mark.parametrize("make, reason", [
+    (lambda: Uniform(0.0, np.inf), "upper must be a real number in (0, inf), got inf"),
+    (lambda: Uniform(-np.inf, 0.0), "lower must be a real number in (-inf, inf), got -inf"),
+    (lambda: Uniform(np.nan, 1.0), "lower must be a real number in (-inf, inf), got nan"),
+    (lambda: Gaussian(np.nan, 1.0), "mean must be a real number in (-inf, inf), got nan"),
+    (lambda: Gaussian(0.0, np.inf), "stddev must be a real number in (0, inf), got inf"),
+    (lambda: QuantileTable((0.0, np.inf), (0.5, 0.5)), "atoms and probabilities must be finite"),
+    (lambda: QuantileTable((np.nan, 1.0), (0.5, 0.5)), "atoms and probabilities must be finite"),
+    (lambda: QuantileTable((0.0, 1.0), (np.nan, np.nan)),
+     "atoms and probabilities must be finite"),
+    # an int beyond the float range, a string, and a bound not above the other
+    (lambda: Uniform(0, 10**400), f"upper must be a real number in (0, inf), got {10**400}"),
+    (lambda: Gaussian(0, 10**400), f"stddev must be a real number in (0, inf), got {10**400}"),
+    (lambda: Gaussian("0", 1.0), "mean must be a real number in (-inf, inf), got 0"),
+    (lambda: Uniform(3, 3.0), "upper must be a real number in (3, inf), got 3.0"),
 ], ids=["uniform-upper-inf", "uniform-lower-inf", "uniform-nan", "gauss-mean-nan",
-        "gauss-stddev-inf", "table-atom-inf", "table-atom-nan", "table-probabilities-nan"])
-def test_law_parameters_must_be_finite(make):
-    with pytest.raises(ConfigError):
+        "gauss-stddev-inf", "table-atom-inf", "table-atom-nan", "table-probabilities-nan",
+        "uniform-upper-huge-int", "gauss-stddev-huge-int", "gauss-mean-str", "uniform-empty"])
+def test_law_parameters_must_be_finite(make, reason):
+    with pytest.raises(ConfigError, match=f"^{re.escape(reason)}$"):
         make()
 
 
