@@ -2,10 +2,10 @@
 
 Subcommands: ``simulate`` (one particle-system run, optional position
 dump), ``exact`` (quantile table of the closed-form Burgers solution),
-``strong`` and ``weak`` (Monte-Carlo convergence tables).  Study
-parameters left unspecified fall back to desk-scale presets sized for
-minutes of runtime; ``--full`` switches the presets to the full-scale
-settings of the headline tables.
+``strong`` and ``weak`` (Monte-Carlo convergence tables of the Burgers
+flux from the Dirac start).  Study parameters left unspecified fall back
+to desk-scale presets sized for minutes of runtime; ``--full`` switches
+the presets to the full-scale settings of the headline tables.
 
 Each command validates its inputs, then opens its destination through
 ``_output``, the one writer of every file, and only then runs: a bad flag
@@ -69,18 +69,13 @@ _PRESETS = {
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    # a study runs the Burgers flux from the Dirac start: only simulate has their flags
+    parser.set_defaults(flux="burgers", init=OPTIMAL, dist="dirac0")
     parser.add_argument("--horizon", type=float, default=1.0, help="time horizon T")
-    parser.add_argument("--sigma2", type=float, default=0.2,
-                        help="diffusion parameter sigma^2")
-    parser.add_argument("--flux", default="burgers",
-                        help="burgers | quadratic | poly:c0,c1,...")
+    parser.add_argument("--sigma2", type=float, default=0.2, help="diffusion parameter sigma^2")
     parser.add_argument("--scheme", choices=[RANK_COEFFICIENT, FRACTIONAL_RANK],
                         default=RANK_COEFFICIENT,
                         help="drift from rank coefficients or from the speed at rank/N")
-    parser.add_argument("--init", choices=[OPTIMAL, IID], default=OPTIMAL,
-                        help="placement of the particles in the initial law --dist")
-    parser.add_argument("--dist", default="dirac0",
-                        help="initial law: dirac0 | uniform:c,d | gauss:mu,sd")
     parser.add_argument("--seed", type=int, default=42, help="base seed (64-bit)")
 
 
@@ -130,6 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--step", type=float, required=True)
     sim.add_argument("--emit-positions", metavar="PATH",
                      help="write the final positions as CSV (index,position)")
+    sim.add_argument("--flux", help="burgers | quadratic | poly:c0,c1,...")
+    sim.add_argument("--init", choices=[OPTIMAL, IID],
+                     help="placement of the particles in the initial law --dist")
+    sim.add_argument("--dist", help="initial law: dirac0 | uniform:c,d | gauss:mu,sd")
     _add_model_flags(sim)
 
     ex = sub.add_parser("exact", help="quantile table of the exact Burgers solution")
@@ -138,8 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--grid", type=int, default=5000, help="number of quantile cells K")
     ex.add_argument("--out", help="output path (default: stdout)")
 
-    strong = sub.add_parser("strong", help="strong (mean W1) convergence table")
-    _add_study_flags(strong)
+    _add_study_flags(sub.add_parser("strong", help="strong (mean W1) convergence table"))
 
     weak = sub.add_parser("weak", help="weak (W1 of mean) convergence table")
     _add_study_flags(weak)
@@ -151,16 +149,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config(args, particles: int, step: float) -> SimulationConfig:
     """The run the model flags describe, with N particles and Euler step h."""
-    return SimulationConfig(
-        n_particles=particles,
-        step=step,
-        horizon=args.horizon,
-        sigma=np.sqrt(args.sigma2),
-        flux=parse_flux(args.flux),
-        scheme=args.scheme,
-        init=InitRule(args.init, parse_distribution(args.dist)),
-        seed=args.seed,
-    )
+    return SimulationConfig(n_particles=particles, step=step, horizon=args.horizon,
+                            sigma=np.sqrt(args.sigma2), flux=parse_flux(args.flux),
+                            scheme=args.scheme, seed=args.seed,
+                            init=InitRule(args.init, parse_distribution(args.dist)))
 
 
 @contextmanager

@@ -36,4 +36,5 @@ def checked_real(name: str, value, least: float) -> float:
     with suppress(OverflowError):  # an int beyond the float range
         if isinstance(value, Real) and least < (real := float(value)) < inf:
             return real
-    raise ConfigError(f"{name} must be a real number in ({least:g}, inf), got {value}")
+    bound = f"{least:g}" if float(f"{least:g}") == least else repr(least)  # reads back
+    raise ConfigError(f"{name} must be a real number in ({bound}, inf), got {value}")

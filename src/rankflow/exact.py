@@ -36,6 +36,8 @@ class BurgersSolution:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", checked_real("sigma", self.sigma, 0.0))
+        if not 0.0 < self.sigma * self.sigma < np.inf:  # the formula divides by sigma^2
+            raise ConfigError(f"sigma^2 must be a positive finite float, got sigma = {self.sigma}")
 
     def cdf(self, t: float, x):
         """F(t, x) for finite t > 0; vectorized in x, nondecreasing, in [0, 1].

@@ -32,9 +32,12 @@ class FluxFunction:
     coefficients: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.coefficients:
+        try:  # any iterable of reals
+            coefficients = tuple(checked_real("coefficient", c, -np.inf) for c in self.coefficients)
+        except TypeError:  # not an iterable
+            raise ConfigError(f"coefficients must be reals, got {self.coefficients!r}") from None
+        if not coefficients:
             raise ConfigError("flux needs at least one coefficient")
-        coefficients = tuple(checked_real("coefficient", c, -np.inf) for c in self.coefficients)
         while len(coefficients) > 1 and coefficients[-1] == 0.0:
             coefficients = coefficients[:-1]
         object.__setattr__(self, "coefficients", coefficients)
@@ -49,11 +52,11 @@ class FluxFunction:
     @classmethod
     def quadratic(cls) -> "FluxFunction":
         """flux(u) = u^2 / 2, speed(u) = u."""
-        return cls.polynomial((0.0, 0.0, 0.5))
+        return cls((0.0, 0.0, 0.5))
 
     @classmethod
     def polynomial(cls, coefficients) -> "FluxFunction":
-        return cls(tuple(coefficients))
+        return cls(coefficients)
 
     # -- derived values ----------------------------------------------------
 

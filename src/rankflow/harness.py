@@ -2,7 +2,8 @@
 
 A study sweeps either the particle count or the time step and, per sweep
 value, estimates the Wasserstein-1 error of the final-time empirical
-measure against the exact Burgers solution:
+measure against the exact solution, which only the Burgers flux from the
+Dirac start has (``get_reference``):
 
 * strong error: mean over runs of the grid-free estimate per run, with a
   95% half-width from the run-to-run variance;
@@ -11,19 +12,16 @@ measure against the exact Burgers solution:
   of the mean, so the variance is estimated on B batches of R/B runs, per
   the delta method).
 
-A ``StudySpec`` builds and checks every row's run config, the reference
-and the weak grid before any run, and checks that the study's arrays fit
-in physical memory (``check_memory``) before it builds the grid.
-``run_study`` reduces each row's slice of the study's one stream of runs
-with ``strong_error_point(spec, results)`` or ``weak_error_point(spec,
+A ``StudySpec`` checks the whole study before any run.  ``run_study``
+reduces each row's slice of the study's one stream of runs with
+``strong_error_point(spec, results)`` or ``weak_error_point(spec,
 results)``.  Runs are independent: run r of sweep row j uses the seed
 derived from (base_seed, j, r), so tables are reproducible bit for bit;
 with paired seeds the row index is dropped and all rows share their
 Brownian noise.  One worker, ``_run``, simulates a run and applies the
-study's statistic to its final positions, unsorted.  Runs may execute in
-one pool per study, of at most one process per core and per run of a
-row, but reduction always happens in (row, run index) order, which keeps
-results identical for every worker count.  The harness writes nothing:
+study's statistic to its final positions, unsorted; wherever ``_map_runs``
+executes the runs, reduction is in (row, run index) order, so results are
+identical for every worker count.  The harness writes nothing:
 ``rankflow.cli`` formats and writes every table.
 """
 
@@ -43,6 +41,7 @@ import numpy as np
 from .engine import _BLOCK, _DRAW_BLOCK, SimulationConfig, simulate
 from .errors import ConfigError, NumericalError, checked_count
 from .exact import BurgersSolution
+from .initial import DiracAtZero
 from .metrics import GridSpec, empirical_cdf_at, phi_grid, psi_grid_free
 from .stream import derive_seed
 
@@ -116,10 +115,13 @@ def _cores() -> int:
 
 
 def get_reference(config: SimulationConfig) -> BurgersSolution:
-    """The exact solution of the config's law: Burgers is the only one."""
+    """The exact solution of the config's law: Burgers from the Dirac start is the only one."""
     if not config.flux.is_burgers:
         raise ConfigError(
             "no exact reference solution for this flux: only the Burgers flux has one")
+    if config.init.distribution != DiracAtZero():
+        raise ConfigError(
+            "no exact reference solution for this start: only the Dirac start at 0 has one")
     return BurgersSolution(config.sigma)
 
 
@@ -127,9 +129,10 @@ def get_reference(config: SimulationConfig) -> BurgersSolution:
 class StudySpec:
     """One convergence table, checked whole before it runs.
 
-    ``base`` carries the horizon, diffusion, flux (with an exact reference),
-    scheme, initialization and base seed.  The counts ``threads``, ``runs``,
-    ``batches`` and ``grid_k``, and an n-sweep's values, are integers.
+    ``base`` carries the horizon, diffusion, flux and start (the Burgers
+    flux from the Dirac start, whatever the placement rule), scheme and base
+    seed.  The counts ``threads``, ``runs``, ``batches`` and ``grid_k``, and
+    an n-sweep's values, are integers.
     Derived: ``workers`` is the number of runs that execute at once,
     ``threads`` bounded by the runs of a row and the cores the process may
     use; ``configs[j]`` is ``base`` with the swept field set to row j's value
@@ -324,8 +327,7 @@ def weak_error_point(spec: StudySpec, results: Iterator) -> tuple[float, float]:
         batch_sums[r // per_batch] += vector
         _kahan_add(total, compensation, vector)
 
-    batch_values = np.array([phi_grid(batch_sums[b] / per_batch, grid)
-                             for b in range(batches)])
+    batch_values = np.array([phi_grid(batch_sums[b] / per_batch, grid) for b in range(batches)])
     return _with_half_width(phi_grid(total / runs, grid), batch_values)
 
 

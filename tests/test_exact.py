@@ -169,6 +169,12 @@ def test_constructor_validation():
     for sigma in (0.0, -1.0, np.inf, 10**400, "0.4"):
         with real_error("sigma", sigma):
             BurgersSolution(sigma)
+    # sigma^2 must be a positive finite float too: it overflows to inf at
+    # 1.4e154 (where float ** raises) and underflows to 0 at 1e-170
+    for sigma in (1.4e154, 1e-170):
+        message = f"sigma^2 must be a positive finite float, got sigma = {sigma}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            BurgersSolution(sigma)
     # a float32 sigma is stored as the float it equals, and gives that float's bits
     narrow, wide = BurgersSolution(np.float32(0.4)), BurgersSolution(float(np.float32(0.4)))
     assert (type(narrow.sigma), narrow) == (float, wide)

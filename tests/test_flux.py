@@ -125,3 +125,11 @@ def test_invalid_construction():
                            match=rf"^coefficient must be a real number in \(-inf, inf\), "
                                  rf"got {value}$"):
             FluxFunction.polynomial((0.0, value))
+    # any iterable of reals is a flux, a numpy array included; anything else is refused
+    assert FluxFunction(np.array([0.0, 1.0])) == FluxFunction((0.0, 1.0))
+    assert FluxFunction(c for c in (-0.5, 1.0, -0.5)).is_burgers
+    for value in (5, 0.5, None):
+        with pytest.raises(ConfigError, match=rf"^coefficients must be reals, got {value}$"):
+            FluxFunction(value)
+    with pytest.raises(ConfigError, match=r"^flux needs at least one coefficient$"):
+        FluxFunction(np.array([]))

@@ -10,11 +10,11 @@ from scipy.special import ndtr, ndtri
 
 import rankflow.cli as cli
 import rankflow.harness as harness
-from rankflow import (BurgersSolution, ConfigError, FluxFunction, Gaussian, GridSpec,
-                      InitRule, NumericalError, SimulationConfig, StudyRow, StudySpec,
-                      run_study, strong_error_point, weak_error_point)
+from rankflow import (BurgersSolution, ConfigError, DiracAtZero, FluxFunction, Gaussian,
+                      GridSpec, InitRule, NumericalError, SimulationConfig, StudyRow, StudySpec,
+                      Uniform, run_study, strong_error_point, weak_error_point)
 from rankflow import engine
-from rankflow.engine import IID
+from rankflow.engine import IID, OPTIMAL
 from rankflow.metrics import phi_grid, psi_grid_free
 from rankflow.stream import derive_seed, make_generator, standard_normals
 
@@ -429,6 +429,46 @@ def test_study_spec_row_configs(paired):
     np.testing.assert_array_equal(h_spec.grid.midpoint_quantiles,
                                   small_grid(8).midpoint_quantiles)
     assert spec.grid is None
+
+
+@pytest.mark.parametrize("kind", ["strong", "weak"])
+@pytest.mark.parametrize("init", [InitRule(OPTIMAL, Uniform(0.0, 1.0)),
+                                  InitRule(IID, Gaussian(0.0, 1.0))], ids=["uniform", "gauss"])
+def test_study_from_another_start_is_refused(kind, init):
+    # the exact reference is the Burgers solution from the Dirac start at 0:
+    # a study of any other start is refused before any run, by get_reference
+    weak = dict(batches=2, grid_k=8) if kind == "weak" else {}
+    with pytest.raises(ConfigError, match=r"^no exact reference solution for this start: "
+                                          r"only the Dirac start at 0 has one$"):
+        StudySpec(kind, burgers_config(init=init), "n", (4,), 4, **weak)
+
+
+def test_iid_placement_of_the_dirac_start_gives_the_default_rows():
+    # every particle starts at 0 under either rule, so the rows are the same
+    tables = [run_study(StudySpec("strong", burgers_config(init=init), "n", (4, 8), 3))
+              for init in (InitRule(), InitRule(IID, DiracAtZero()))]
+    assert tables[0] == tables[1]
+
+
+def test_study_at_an_overflowing_viscosity_is_config_error():
+    # sigma^2 overflows the float range: the reference refuses it, before any run
+    with pytest.raises(ConfigError, match=r"^sigma\^2 must be a positive finite float"):
+        StudySpec("strong", burgers_config(sigma=1.4e154), "n", (4,), 2)
+
+
+@pytest.mark.parametrize("seed, reason", [
+    (0, "the estimate or its half-width overflowed"),  # the variance of the two estimates
+    (1, "positions overflowed: not every final position is finite"),  # the initial positions
+    (5, "the estimate or its half-width overflowed"),  # a gap between two positions
+], ids=["0", "1", "5"])
+def test_overflowing_strong_estimate_is_numerical_error(monkeypatch, seed, reason):
+    # a start near the float range has no reference of its own, so the seam
+    # lends it the Burgers one; each overflow is one tagged error, no warning
+    monkeypatch.setattr(harness, "get_reference", lambda config: BurgersSolution(config.sigma))
+    base = burgers_config(n_particles=1, step=0.5, seed=seed,
+                          init=InitRule(IID, Gaussian(0.0, 1e308)))
+    with pytest.raises(NumericalError, match=f"^sweep value 4: {reason}$"):
+        run_study(StudySpec("strong", base, "n", (4,), 2))
 
 
 # -- statistical sanity of the confidence interval -------------------------------

@@ -225,9 +225,13 @@ def test_quantile_table_validation():
     (lambda: Gaussian(0, 10**400), f"stddev must be a real number in (0, inf), got {10**400}"),
     (lambda: Gaussian("0", 1.0), "mean must be a real number in (-inf, inf), got 0"),
     (lambda: Uniform(3, 3.0), "upper must be a real number in (3, inf), got 3.0"),
+    # a bound that 6 significant digits would round past the refused value is printed whole
+    (lambda: Uniform(0.1234567, 0.1234566),
+     "upper must be a real number in (0.1234567, inf), got 0.1234566"),
 ], ids=["uniform-upper-inf", "uniform-lower-inf", "uniform-nan", "gauss-mean-nan",
         "gauss-stddev-inf", "table-atom-inf", "table-atom-nan", "table-probabilities-nan",
-        "uniform-upper-huge-int", "gauss-stddev-huge-int", "gauss-mean-str", "uniform-empty"])
+        "uniform-upper-huge-int", "gauss-stddev-huge-int", "gauss-mean-str", "uniform-empty",
+        "uniform-bound-in-full"])
 def test_law_parameters_must_be_finite(make, reason):
     with pytest.raises(ConfigError, match=f"^{re.escape(reason)}$"):
         make()

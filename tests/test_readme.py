@@ -56,6 +56,26 @@ def test_readme_flag_choices_match_parser(flag, subcommand):
     assert listed[0].split("|") == list(action.choices)
 
 
+#: every inline code span of README.md outside its command blocks, on one line
+README_SPANS = [" ".join(span.split()) for span in
+                re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", README, flags=re.S))]
+
+
+def test_readme_flags_are_declared():
+    # a flag removed from the CLI cannot stay in the docs: each backticked
+    # --flag is declared by a subcommand, by the one a span starts with if any
+    _, parsers = subcommand_parsers()
+    declared = {name: {option for action in parser._actions for option in action.option_strings}
+                for name, parser in parsers.items()}
+    named = []
+    for span in README_SPANS:
+        owners = [span.split()[0]] if span.split()[0] in declared else sorted(declared)
+        for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", span):
+            named.append(flag)
+            assert any(flag in declared[owner] for owner in owners), (flag, span)
+    assert {"--sweep", "--flux", "--dist"} <= set(named)
+
+
 #: every backticked ``rankflow.<module>.<name>`` of README.md
 README_NAMES = sorted(set(re.findall(r"`(rankflow\.\w+\.\w+)", README)))
 
